@@ -52,9 +52,11 @@ func (k Kind) String() string {
 // are per-router and stateful (they hold the fairness counters).
 type Policy interface {
 	// Pick chooses one of candidates (input-port indices whose head
-	// packet is eligible for this output). head returns the head packet
-	// of a candidate. candidates is non-empty and sorted ascending.
-	Pick(out int, vc packet.VC, candidates []int, head func(int) *packet.Packet) int
+	// packet is eligible for this output). heads is indexed by input
+	// port; heads[c] is the head packet of candidate c (entries of
+	// non-candidates are not read). candidates is non-empty and sorted
+	// ascending.
+	Pick(out int, vc packet.VC, candidates []int, heads []*packet.Packet) int
 }
 
 // WeightFunc computes the arbitration weight of a head packet. Weights
@@ -121,34 +123,34 @@ func New(kind Kind, cfg Config) Policy {
 // estimated-oldest packet outright, which is what makes the naive scheme
 // misfire on NVM-F placements (§5.1).
 // State is kept per (output port, VC) so request and response streams do
-// not perturb each other's fairness.
+// not perturb each other's fairness. It lives in slices indexed by
+// out*NumVCs+vc (and then by input port), grown on first use, so a
+// steady-state Pick never allocates.
 type wrr struct {
 	weight WeightFunc
 	strict bool
-	state  map[arbKey]map[int]int64
-	rot    map[arbKey]int
+	state  [][]int64
+	rot    []int
 }
 
-type arbKey struct {
-	out int
-	vc  packet.VC
-}
+// slot returns the (out, vc) state index.
+func slot(out int, vc packet.VC) int { return out*int(packet.NumVCs) + int(vc) }
 
-func (a *wrr) Pick(out int, vc packet.VC, candidates []int, head func(int) *packet.Packet) int {
+func (a *wrr) Pick(out int, vc packet.VC, candidates []int, heads []*packet.Packet) int {
 	if len(candidates) == 1 {
 		return candidates[0]
 	}
-	key := arbKey{out: out, vc: vc}
+	key := slot(out, vc)
 	if a.strict {
-		if a.rot == nil {
-			a.rot = make(map[arbKey]int)
+		if key >= len(a.rot) {
+			a.rot = append(a.rot, make([]int, key+1-len(a.rot))...)
 		}
 		rot := a.rot[key]
 		best := -1
 		var bestVal int64
 		for k := 0; k < len(candidates); k++ {
 			c := candidates[(rot+k)%len(candidates)]
-			w := a.weight(head(c))
+			w := a.weight(heads[c])
 			if best == -1 || w > bestVal {
 				best = c
 				bestVal = w
@@ -157,12 +159,12 @@ func (a *wrr) Pick(out int, vc packet.VC, candidates []int, head func(int) *pack
 		a.rot[key] = rot + 1
 		return best
 	}
-	if a.state == nil {
-		a.state = make(map[arbKey]map[int]int64)
+	if key >= len(a.state) {
+		a.state = append(a.state, make([][]int64, key+1-len(a.state))...)
 	}
 	cur := a.state[key]
-	if cur == nil {
-		cur = make(map[int]int64)
+	if last := candidates[len(candidates)-1]; last >= len(cur) {
+		cur = append(cur, make([]int64, last+1-len(cur))...)
 		a.state[key] = cur
 	}
 
@@ -170,7 +172,7 @@ func (a *wrr) Pick(out int, vc packet.VC, candidates []int, head func(int) *pack
 	best := -1
 	var bestVal int64
 	for _, c := range candidates {
-		w := a.weight(head(c))
+		w := a.weight(heads[c])
 		if w < 1 {
 			w = 1
 		}

@@ -7,9 +7,7 @@ import (
 	"memnet/internal/packet"
 )
 
-func heads(ps ...*packet.Packet) func(int) *packet.Packet {
-	return func(i int) *packet.Packet { return ps[i] }
-}
+func heads(ps ...*packet.Packet) []*packet.Packet { return ps }
 
 func TestRoundRobinFairness(t *testing.T) {
 	p := New(RoundRobin, Config{})
@@ -179,7 +177,7 @@ func TestRoundRobinShareBound(t *testing.T) {
 	pk := &packet.Packet{Kind: packet.ReadResp}
 	counts := make([]int, 3)
 	for i := 0; i < 3001; i++ {
-		counts[p.Pick(0, packet.VCResponse, []int{0, 1, 2}, func(int) *packet.Packet { return pk })]++
+		counts[p.Pick(0, packet.VCResponse, []int{0, 1, 2}, heads(pk, pk, pk))]++
 	}
 	for i := 0; i < 3; i++ {
 		if counts[i] < 1000 || counts[i] > 1001 {

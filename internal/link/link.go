@@ -103,7 +103,7 @@ type Direction struct {
 	meter Meter
 
 	wire    sim.Resource
-	queue   [packet.NumVCs][]entry
+	queue   [packet.NumVCs]ring[entry]
 	credits [packet.NumVCs]int
 
 	// deliver is invoked at the receiver when a packet lands (after
@@ -207,6 +207,7 @@ func New(eng *sim.Engine, cfg Config, meter Meter) *Direction {
 	d := &Direction{eng: eng, cfg: cfg, meter: meter, origBps: cfg.BandwidthBps}
 	for vc := range d.credits {
 		d.credits[vc] = cfg.Credits
+		d.queue[vc] = newRing[entry](cfg.QueueDepth)
 	}
 	d.pumpFn = func() {
 		d.pumpScheduled = false
@@ -258,11 +259,11 @@ func (d *Direction) Stats() Stats { return d.stats }
 // CanAccept reports whether the output queue of vc has room. A failed
 // or retraining direction accepts nothing.
 func (d *Direction) CanAccept(vc packet.VC) bool {
-	return d.state == Up && len(d.queue[vc]) < d.cfg.QueueDepth
+	return d.state == Up && !d.queue[vc].full()
 }
 
 // QueueLen reports the occupancy of the vc output queue.
-func (d *Direction) QueueLen(vc packet.VC) int { return len(d.queue[vc]) }
+func (d *Direction) QueueLen(vc packet.VC) int { return d.queue[vc].len() }
 
 // Credits reports the transmit credits currently available for vc.
 func (d *Direction) Credits(vc packet.VC) int { return d.credits[vc] }
@@ -317,10 +318,9 @@ func (d *Direction) Fail(drain func(*packet.Packet)) {
 	}
 	d.state = Down
 	for vc := range d.queue {
-		for _, e := range d.queue[vc] {
-			drain(e.p)
+		for d.queue[vc].len() > 0 {
+			drain(d.queue[vc].pop().p)
 		}
-		d.queue[vc] = nil
 	}
 	for _, r := range d.retryQ {
 		drain(r.p)
@@ -377,7 +377,7 @@ func (d *Direction) Send(p *packet.Packet) {
 	if !d.CanAccept(vc) {
 		panic(fmt.Sprintf("link: output queue overflow on %v for %v", vc, p))
 	}
-	d.queue[vc] = append(d.queue[vc], entry{p: p, enqueued: d.eng.Now()})
+	d.queue[vc].push(entry{p: p, enqueued: d.eng.Now()})
 	d.pump()
 }
 
@@ -424,7 +424,7 @@ func (d *Direction) pump() {
 // default (the deadlock-avoidance priority), else round-robin.
 func (d *Direction) pickVC() (packet.VC, bool) {
 	eligible := func(vc packet.VC) bool {
-		if len(d.queue[vc]) == 0 {
+		if d.queue[vc].len() == 0 {
 			return false
 		}
 		if d.credits[vc] == 0 {
@@ -461,9 +461,7 @@ func (d *Direction) pickVC() (packet.VC, bool) {
 // transmit pops the head of vc and occupies the wire for its
 // serialization time; delivery fires after the additional SerDes latency.
 func (d *Direction) transmit(vc packet.VC) {
-	e := d.queue[vc][0]
-	copy(d.queue[vc], d.queue[vc][1:])
-	d.queue[vc] = d.queue[vc][:len(d.queue[vc])-1]
+	e := d.queue[vc].pop()
 	d.credits[vc]--
 	d.stalled[vc] = false
 

@@ -55,7 +55,14 @@ type Bank struct {
 // the bank's refresh phase so that banks of a cube do not refresh in
 // lockstep; it is ignored for technologies without refresh.
 func NewBank(tech config.MemTech, timing config.MemTiming, refreshOffset sim.Time) *Bank {
-	b := &Bank{timing: timing, tech: tech, openRow: -1}
+	b := MakeBank(tech, timing, refreshOffset)
+	return &b
+}
+
+// MakeBank is NewBank by value, for owners that store their banks
+// contiguously.
+func MakeBank(tech config.MemTech, timing config.MemTiming, refreshOffset sim.Time) Bank {
+	b := Bank{timing: timing, tech: tech, openRow: -1}
 	if timing.RefInterval > 0 {
 		b.nextRefresh = refreshOffset % timing.RefInterval
 		if b.nextRefresh == 0 {

@@ -13,6 +13,7 @@ package router
 
 import (
 	"fmt"
+	mathbits "math/bits"
 
 	"memnet/internal/arb"
 	"memnet/internal/link"
@@ -63,6 +64,21 @@ type Router struct {
 	// (link.Direction.Fail drains into Reinject); they re-enter the
 	// network through the recomputed route tables at the next sweep.
 	reroutes []*packet.Packet
+
+	// The route memo of the current (sweep, VC). heads[i] is input i's
+	// head packet as last evaluated, and bucket holds, per output, a
+	// bitset (words uint64s each) of the inputs whose head routes there.
+	// scanned is false until the first candidate scan of the VC
+	// evaluates every input; after that only stale (the input popped
+	// since the last scan, or -1) is re-evaluated. cands is the
+	// candidate list handed to the arbiter. All are sized once, on the
+	// first sweep, so forwarding never allocates.
+	heads   []*packet.Packet
+	bucket  []uint64
+	words   int
+	scanned bool
+	stale   int
+	cands   []int
 
 	// Forwarded counts packets moved input->output, per VC.
 	Forwarded [packet.NumVCs]uint64
@@ -174,7 +190,14 @@ func (r *Router) sweep() {
 	}
 	r.drainReroutes()
 	n := len(r.out)
-	for _, vc := range []packet.VC{packet.VCResponse, packet.VCRequest} {
+	if len(r.heads) != n {
+		r.words = (n + 63) / 64
+		r.heads = make([]*packet.Packet, n)
+		r.bucket = make([]uint64, n*r.words)
+		r.cands = make([]int, 0, n)
+	}
+	for _, vc := range [...]packet.VC{packet.VCResponse, packet.VCRequest} {
+		r.scanned = false
 		for k := 0; k < n; k++ {
 			if !r.drain((r.sweepStart+k)%n, vc) {
 				return // crossbar busy; retry armed
@@ -188,40 +211,33 @@ func (r *Router) sweep() {
 // until space, candidates, credits, or switch bandwidth run out. It
 // returns false when the crossbar is busy (a retry has been armed).
 func (r *Router) drain(o int, vc packet.VC) bool {
-	var candidates []int
 	for r.out[o].CanAccept(vc) {
 		if r.switchBps > 0 && !r.crossbar.Idle(r.eng.Now()) {
 			r.armRetry()
 			return false
 		}
-		candidates = candidates[:0]
-		for i, buf := range r.in {
-			// The entry port is a legal candidate: shortest-path tables
-			// never route a packet back out the port it entered, but after
-			// a mid-run fault swap a packet caught traveling toward a dead
-			// link must U-turn.
-			head := buf.Head(vc)
-			if head == nil {
-				continue
-			}
-			if r.route(head) == o {
-				candidates = append(candidates, i)
+		r.scan(vc)
+		r.cands = r.cands[:0]
+		for w, bits := range r.bucket[o*r.words : (o+1)*r.words] {
+			for ; bits != 0; bits &= bits - 1 {
+				r.cands = append(r.cands, w*64+mathbits.TrailingZeros64(bits))
 			}
 		}
-		if len(candidates) == 0 {
+		if len(r.cands) == 0 {
 			return true
 		}
-		if len(candidates) > 1 {
+		if len(r.cands) > 1 {
 			r.Contended++
 		}
-		pick := r.policy.Pick(o, vc, candidates, func(i int) *packet.Packet {
-			return r.in[i].Head(vc)
-		})
+		pick := r.policy.Pick(o, vc, r.cands, r.heads)
 		var since sim.Time
 		if r.OnForward != nil {
 			since = r.in[pick].HeadSince(vc)
 		}
 		p := r.in[pick].Pop(vc, r.eng.Now())
+		r.bucket[o*r.words+pick/64] &^= 1 << (pick % 64)
+		r.heads[pick] = nil
+		r.stale = pick
 		r.Forwarded[vc]++
 		if r.GrantCounts != nil {
 			r.GrantCounts[pick]++
@@ -235,6 +251,43 @@ func (r *Router) drain(o int, vc packet.VC) bool {
 		r.out[o].Send(p)
 	}
 	return true
+}
+
+// scan brings the route memo up to date before a candidate scan. The
+// route function is evaluated lazily, exactly where a scan first needs
+// it, because it is not pure across events: the core route closure
+// re-homes requests bound for a killed cube (rewriting Dst and counting
+// the bounce) and reads fault state that changes between events.
+// Within one sweep event its answer for a given head is fixed, so each
+// head is evaluated once: every input at the VC's first scan, then only
+// the input popped since the previous scan.
+func (r *Router) scan(vc packet.VC) {
+	if !r.scanned {
+		clear(r.bucket)
+		for i := range r.in {
+			r.evaluate(i, vc)
+		}
+		r.scanned = true
+	} else if r.stale >= 0 {
+		r.evaluate(r.stale, vc)
+	}
+	r.stale = -1
+}
+
+// evaluate memoises input i's head for vc and files it in the bucket of
+// the output it routes to. The entry port is a legal output: shortest-
+// path tables never route a packet back out the port it entered, but
+// after a mid-run fault swap a packet caught traveling toward a dead
+// link must U-turn. Routes outside the port range match no output.
+func (r *Router) evaluate(i int, vc packet.VC) {
+	head := r.in[i].Head(vc)
+	r.heads[i] = head
+	if head == nil {
+		return
+	}
+	if o := r.route(head); o >= 0 && o < len(r.out) {
+		r.bucket[o*r.words+i/64] |= 1 << (i % 64)
+	}
 }
 
 // drainReroutes re-sends salvaged packets through the current route

@@ -50,7 +50,7 @@ type Quadrant struct {
 	extPorts int
 	penalty  sim.Time
 
-	banks   []*mem.Bank
+	banks   []mem.Bank
 	bankMap BankMap
 	retDist ReturnDist
 	meter   *energy.Meter
@@ -107,10 +107,10 @@ func New(eng *sim.Engine, cfg Config) *Quadrant {
 	if q.maxInflight <= 0 {
 		q.maxInflight = 16
 	}
-	q.banks = make([]*mem.Bank, cfg.Banks)
+	q.banks = make([]mem.Bank, cfg.Banks)
 	for i := range q.banks {
 		offset := sim.Time(cfg.Index*cfg.Banks+i) * 97 * sim.Nanosecond
-		q.banks[i] = mem.NewBank(cfg.Tech, cfg.Timing, offset)
+		q.banks[i] = mem.MakeBank(cfg.Tech, cfg.Timing, offset)
 	}
 	q.pumpFn = func() {
 		q.pumpPending = false
@@ -158,8 +158,8 @@ func (q *Quadrant) QueueLen() int {
 // BankStats sums the per-bank counters.
 func (q *Quadrant) BankStats() mem.BankStats {
 	var s mem.BankStats
-	for _, b := range q.banks {
-		bs := b.Stats()
+	for i := range q.banks {
+		bs := q.banks[i].Stats()
 		s.Reads += bs.Reads
 		s.Writes += bs.Writes
 		s.RowHits += bs.RowHits
