@@ -217,6 +217,75 @@ func TestSpansPerfettoGolden(t *testing.T) {
 	}
 }
 
+// TestSpansNDJSONGolden pins the NDJSON span file byte for byte. The
+// run block comes from a ring under a kill/repair/flap schedule with
+// bit errors, capped so that sampled transactions are dropped; a second
+// block, written with an empty label, carries spans with nil and empty
+// segment lists. Regenerate with -update-golden after an intentional
+// change.
+func TestSpansNDJSONGolden(t *testing.T) {
+	wl := kmeans(t)
+	in, err := Build(Params{
+		Sys:          config.Default(),
+		Topo:         topology.Ring,
+		Arb:          arb.RoundRobin,
+		Workload:     wl,
+		Transactions: 1500,
+		Seed:         3,
+		Spans:        &span.Config{SampleStride: 8, MaxSpans: 32},
+		Fault: &fault.Config{
+			LinkBER:       1e-5,
+			KillLinks:     []fault.LinkKill{{Edge: 2, At: 300 * sim.Nanosecond}},
+			RepairLinks:   []fault.LinkRepair{{Edge: 2, At: 900 * sim.Nanosecond}},
+			KillCubes:     []fault.CubeKill{{Node: 4, At: 300 * sim.Nanosecond}},
+			RepairCubes:   []fault.CubeRepair{{Node: 4, At: 900 * sim.Nanosecond}},
+			LaneFlaps:     []fault.LaneFlap{{Edge: 0, Down: 200 * sim.Nanosecond, Up: 800 * sim.Nanosecond}},
+			RetrainWindow: 100 * sim.Nanosecond,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := in.WriteSpans(&buf); err != nil {
+		t.Fatal(err)
+	}
+	extra := []span.TxSpan{
+		{ID: 1, Kind: "ReadReq", Addr: 64, Dst: 2, Injected: 10, Completed: 20},
+		{ID: 2, Kind: "WriteReq", Addr: 128, Dst: 0, Injected: 30, Completed: 30, Segs: []span.Seg{}},
+	}
+	if err := span.Write(&buf, span.Header{Seed: 3, Stride: 1}, extra); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"c":"link.retry"`, `\u003e`, `"dropped":`, `"segs":null`, `"segs":[]`} {
+		if !bytes.Contains(buf.Bytes(), []byte(want)) {
+			t.Errorf("span file does not exercise %s", want)
+		}
+	}
+	if n := bytes.Count(buf.Bytes(), []byte(`"label":`)); n != 1 {
+		t.Errorf("%d labelled headers, want 1 of 2", n)
+	}
+	golden := filepath.Join("testdata", "spans_golden.ndjson")
+	if *updateGolden {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", golden, buf.Len())
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update-golden to create)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("NDJSON span file drifted from golden (%d vs %d bytes); rerun with -update-golden after verifying the change is intentional",
+			buf.Len(), len(want))
+	}
+}
+
 // TestTimelineInManifest: a kill/repair run's manifest carries the
 // recovery timeline — retrain window bounds and per-direction healed
 // bits on the repair — and still validates against the schema.

@@ -1,7 +1,9 @@
 // NDJSON encoding of span files: one header object on the first line
 // (schema, run identity, sampling parameters), then one TxSpan object
-// per line in completion order. Encoding uses encoding/json on fully
-// ordered structs, so identical runs produce byte-identical files.
+// per line in completion order. Write appends every line by hand into
+// one reused buffer, emitting exactly the bytes encoding/json would
+// (HTML-safe string quoting included), so identical runs produce
+// byte-identical files without a reflection pass per segment.
 
 package span
 
@@ -10,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"memnet/internal/packet"
 	"memnet/internal/sim"
@@ -65,22 +68,126 @@ func (s *Seg) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// writeFlushAt is the buffered byte count past which Write hands the
+// buffer to the underlying writer; the buffer starts at twice this so
+// typical span lines append without growing it.
+const writeFlushAt = 4096
+
 // Write emits the NDJSON span file: hdr (with Schema and Spans filled
 // in) followed by one line per span.
 func Write(w io.Writer, hdr Header, spans []TxSpan) error {
 	hdr.Schema = Schema
 	hdr.Spans = len(spans)
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(hdr); err != nil {
-		return err
-	}
+	buf := appendHeader(make([]byte, 0, 2*writeFlushAt), &hdr)
 	for i := range spans {
-		if err := enc.Encode(&spans[i]); err != nil {
-			return err
+		buf = appendSpan(buf, &spans[i])
+		if len(buf) >= writeFlushAt {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
+}
+
+// appendHeader appends h as one NDJSON line, omitting the omitempty
+// fields of its JSON tags exactly as encoding/json does.
+func appendHeader(b []byte, h *Header) []byte {
+	b = append(b, `{"schema":`...)
+	b = appendString(b, h.Schema)
+	if h.Label != "" {
+		b = append(b, `,"label":`...)
+		b = appendString(b, h.Label)
+	}
+	if h.Workload != "" {
+		b = append(b, `,"workload":`...)
+		b = appendString(b, h.Workload)
+	}
+	b = append(b, `,"seed":`...)
+	b = strconv.AppendUint(b, h.Seed, 10)
+	b = append(b, `,"stride":`...)
+	b = strconv.AppendUint(b, h.Stride, 10)
+	b = append(b, `,"spans":`...)
+	b = strconv.AppendInt(b, int64(h.Spans), 10)
+	if h.Dropped != 0 {
+		b = append(b, `,"dropped":`...)
+		b = strconv.AppendUint(b, h.Dropped, 10)
+	}
+	return append(b, "}\n"...)
+}
+
+// appendSpan appends sp as one NDJSON line. Nil Segs encode as null and
+// empty non-nil Segs as [], matching encoding/json.
+func appendSpan(b []byte, sp *TxSpan) []byte {
+	b = append(b, `{"id":`...)
+	b = strconv.AppendUint(b, sp.ID, 10)
+	b = append(b, `,"kind":`...)
+	b = appendString(b, sp.Kind)
+	b = append(b, `,"addr":`...)
+	b = strconv.AppendUint(b, sp.Addr, 10)
+	b = append(b, `,"dst":`...)
+	b = strconv.AppendInt(b, int64(sp.Dst), 10)
+	b = append(b, `,"inj":`...)
+	b = strconv.AppendInt(b, int64(sp.Injected), 10)
+	b = append(b, `,"done":`...)
+	b = strconv.AppendInt(b, int64(sp.Completed), 10)
+	b = append(b, `,"segs":`...)
+	if sp.Segs == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range sp.Segs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendSeg(b, &sp.Segs[i])
+		}
+		b = append(b, ']')
+	}
+	return append(b, "}\n"...)
+}
+
+// appendSeg appends the wire form Seg.MarshalJSON produces.
+func appendSeg(b []byte, s *Seg) []byte {
+	b = append(b, `{"c":`...)
+	b = appendString(b, s.Cause.String())
+	b = append(b, `,"l":`...)
+	b = appendString(b, s.Loc)
+	b = append(b, `,"vc":`...)
+	b = strconv.AppendUint(b, uint64(s.VC), 10)
+	b = append(b, `,"at":`...)
+	b = strconv.AppendInt(b, int64(s.At), 10)
+	b = append(b, `,"d":`...)
+	b = strconv.AppendInt(b, int64(s.Dur), 10)
+	return append(b, '}')
+}
+
+// appendString appends s quoted as encoding/json quotes it with HTML
+// escaping on. Edge labels carry '>', so '<', '>' and '&' take their
+// \u00XX form inline; a string holding any other byte encoding/json
+// rewrites (control bytes, '"', '\\', anything non-ASCII) goes through
+// json.Marshal whole, which keeps that rare path exact by construction.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == '<' || c == '>' || c == '&' {
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			start = i + 1
+		}
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // Read parses an NDJSON span file. Files produced by concatenating
@@ -127,7 +234,8 @@ func Read(r io.Reader) (Header, []TxSpan, error) {
 		spans = append(spans, sp)
 	}
 	if err := scanner.Err(); err != nil {
-		return hdr, nil, err
+		// The scanner stopped on the line after the last one it returned.
+		return hdr, nil, fmt.Errorf("span: line %d: %w", line+1, err)
 	}
 	if !gotHdr {
 		return hdr, nil, fmt.Errorf("span: missing header line (schema %q)", Schema)

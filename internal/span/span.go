@@ -15,8 +15,6 @@
 package span
 
 import (
-	"sort"
-
 	"memnet/internal/packet"
 	"memnet/internal/sim"
 )
@@ -200,6 +198,7 @@ func (r *Recorder) Start(pk *packet.Packet, now, wait sim.Time) {
 		Addr:     pk.Addr,
 		Dst:      int32(pk.Dst),
 		Injected: now,
+		Segs:     s.span.Segs[:0], // the reused slot keeps its buffer
 	}}
 	if wait > 0 {
 		s.span.Segs = append(s.span.Segs, Seg{
@@ -252,8 +251,10 @@ func (r *Recorder) VaultIssue(pk *packet.Packet, loc string, now, wait sim.Time)
 
 // Complete closes pk's span at now: the vault service segment is
 // synthesized (MemLatency minus the recorded queue wait), segments are
-// ordered by start time, and the span is retired to the completed list.
-// The packet's span slot is released for reuse.
+// ordered by start time, and the span is retired to the completed list
+// with its own exact-size copy of the segments (nil when there are
+// none), so a completed span never aliases the slot buffer. The
+// packet's span slot is released for reuse and keeps that buffer.
 func (r *Recorder) Complete(pk *packet.Packet, now sim.Time) {
 	if r == nil || pk.SpanSlot == 0 {
 		return
@@ -267,13 +268,36 @@ func (r *Recorder) Complete(pk *packet.Packet, now sim.Time) {
 			At: pk.ArrivedMem + s.vaultWait, Dur: pk.MemLatency - s.vaultWait,
 		})
 	}
+	segs := s.span.Segs
+	sortByAt(segs)
 	sp := s.span
 	sp.Completed = now
-	sort.SliceStable(sp.Segs, func(i, j int) bool { return sp.Segs[i].At < sp.Segs[j].At })
+	sp.Segs = nil
+	if len(segs) > 0 {
+		sp.Segs = make([]Seg, len(segs))
+		copy(sp.Segs, segs)
+	}
 	r.spans = append(r.spans, sp)
-	*s = slot{}
+	*s = slot{span: TxSpan{Segs: segs[:0]}}
 	r.free = append(r.free, idx)
 	r.active--
+}
+
+// sortByAt orders segs by start time in place, keeping recording order
+// among equal starts. Segments arrive nearly sorted (the vault service
+// segment, synthesized last, is the main exception), so an insertion
+// sort moves few elements and, unlike sort.SliceStable, allocates
+// nothing.
+func sortByAt(segs []Seg) {
+	for i := 1; i < len(segs); i++ {
+		x := segs[i]
+		j := i
+		for j > 0 && segs[j-1].At > x.At {
+			segs[j] = segs[j-1]
+			j--
+		}
+		segs[j] = x
+	}
 }
 
 // Spans returns the completed spans in completion order.

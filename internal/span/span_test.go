@@ -2,6 +2,9 @@ package span
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -343,5 +346,49 @@ func TestCheckViolations(t *testing.T) {
 		if err := Check([]TxSpan{sp}); err == nil {
 			t.Errorf("%s: Check accepted invalid span", name)
 		}
+	}
+}
+
+// TestRecorderSortMatchesSliceStable: the recorder's in-place sort
+// gives sort.SliceStable's order on random segment lists dense with
+// equal start times.
+func TestRecorderSortMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 10000; trial++ {
+		segs := make([]Seg, rng.Intn(24))
+		for i := range segs {
+			segs[i] = Seg{Cause: Cause(i % NumCauses), Loc: "r1", At: sim.Time(rng.Intn(6)), Dur: sim.Time(i + 1)}
+		}
+		want := make([]Seg, len(segs))
+		copy(want, segs)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].At < want[j].At })
+		sortByAt(segs)
+		if !reflect.DeepEqual(segs, want) {
+			t.Fatalf("trial %d: got %+v, want %+v", trial, segs, want)
+		}
+	}
+}
+
+// TestRecorderSpanOwnsSegs: a completed span keeps its segments when
+// its slot is reused, and a span with no segments has nil Segs.
+func TestRecorderSpanOwnsSegs(t *testing.T) {
+	r := NewRecorder(Config{}, 0)
+	first := record(t, r, 1)
+	kept := append([]Seg(nil), first.Segs...)
+	if cap(first.Segs) != len(first.Segs) {
+		t.Errorf("completed span holds %d segs in a %d-cap slice, want exact size", len(first.Segs), cap(first.Segs))
+	}
+	pk := mkPacket(2)
+	r.Start(pk, 500, 7)
+	r.Ship(pk, "9>8", 1, 500, 600, 700, 800)
+	r.Complete(pk, 900)
+	if !reflect.DeepEqual(r.Spans()[0].Segs, kept) {
+		t.Fatalf("slot reuse rewrote a completed span: %+v, want %+v", r.Spans()[0].Segs, kept)
+	}
+	bare := mkPacket(3)
+	r.Start(bare, 1000, 0)
+	r.Complete(bare, 1000)
+	if sp := r.Spans()[2]; sp.Segs != nil {
+		t.Errorf("span without segments has Segs %#v, want nil", sp.Segs)
 	}
 }
