@@ -214,12 +214,26 @@ func TestRunShardResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := RunShard(opts, store, Shard{}, nil)
+	// The first pass runs four workers with a progress callback that
+	// touches plain variables: the race detector flags any concurrent
+	// call, and Done must climb by one per unit.
+	opts.Parallel = 4
+	var calls, lastDone int
+	first, err := RunShard(opts, store, Shard{}, func(p Progress) {
+		calls++
+		if p.Done != lastDone+1 {
+			t.Errorf("progress Done = %d after %d", p.Done, lastDone)
+		}
+		lastDone = p.Done
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Simulated == 0 {
 		t.Fatal("first pass simulated nothing")
+	}
+	if calls != first.ShardSize || lastDone != first.ShardSize {
+		t.Errorf("first pass: %d progress calls ending at Done=%d, want %d", calls, lastDone, first.ShardSize)
 	}
 	var progressed int
 	second, err := RunShard(opts, store, Shard{}, func(p Progress) { progressed++ })

@@ -275,13 +275,20 @@ func Build(p Params) (*Instance, error) {
 	return buildOn(sim.NewEngine(), p)
 }
 
+// validateSys checks the system configuration. Scenario runs skip the
+// capacity equation: their cube population is whatever the spec
+// declares, not a solution of DRAMFraction against TotalCapacity.
+func (p *Params) validateSys() error {
+	if p.Scenario != nil {
+		return p.Sys.ValidateBase()
+	}
+	return p.Sys.Validate()
+}
+
 // buildOn constructs a simulation instance on a caller-supplied engine,
 // so a partitioned machine run can place each port's instance on its
 // shard's engine. The engine must be at time zero with nothing pending.
 func buildOn(eng *sim.Engine, p Params) (*Instance, error) {
-	// Scenario runs skip the capacity equation: their cube population
-	// is whatever the spec declares, not a solution of DRAMFraction
-	// against TotalCapacity.
 	var scen *scenario.Spec
 	if p.Scenario != nil {
 		// Clone before normalizing: the caller's spec may be shared
@@ -290,10 +297,8 @@ func buildOn(eng *sim.Engine, p Params) (*Instance, error) {
 		if err := scen.Normalize(); err != nil {
 			return nil, err
 		}
-		if err := p.Sys.ValidateBase(); err != nil {
-			return nil, err
-		}
-	} else if err := p.Sys.Validate(); err != nil {
+	}
+	if err := p.validateSys(); err != nil {
 		return nil, err
 	}
 	if p.Transactions == 0 {

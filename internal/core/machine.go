@@ -109,7 +109,7 @@ func RunMachine(mp MachineParams) (MachineResults, error) {
 	if base.Spans.Enabled() {
 		return MachineResults{}, fmt.Errorf("core: machine runs do not support span tracing (per-port span files would need a merge policy; use single-port runs)")
 	}
-	if err := base.Sys.Validate(); err != nil {
+	if err := base.validateSys(); err != nil {
 		return MachineResults{}, err
 	}
 	ports := base.Sys.Ports

@@ -1,6 +1,7 @@
 package memnet
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -217,33 +218,51 @@ func TestMigrationPublic(t *testing.T) {
 	}
 }
 
-func TestRunSystem(t *testing.T) {
+// TestRunMachineWholeSystem checks the whole-machine aggregates against
+// the per-port results and the paper's disjoint-port symmetry (§2.3).
+func TestRunMachineWholeSystem(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Transactions = 1200
-	sr, err := RunSystem(cfg)
+	mr, err := RunMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sr.PerPort) != 8 {
-		t.Fatalf("ports = %d", len(sr.PerPort))
+	if len(mr.PerPort) != 8 {
+		t.Fatalf("ports = %d", len(mr.PerPort))
 	}
-	// The system finishes with its slowest port.
-	for _, r := range sr.PerPort {
-		if r.FinishTime > sr.FinishTime {
-			t.Fatal("finish not the max")
+	// The machine finishes with its slowest port.
+	var maxFin, minFin Time
+	for i, r := range mr.PerPort {
+		if i == 0 || r.FinishTime > maxFin {
+			maxFin = r.FinishTime
 		}
+		if i == 0 || r.FinishTime < minFin {
+			minFin = r.FinishTime
+		}
+	}
+	if mr.FinishTime != maxFin {
+		t.Fatalf("finish %v, want the slowest port's %v", mr.FinishTime, maxFin)
 	}
 	// Ports are statistically identical: the paper's disjoint-slice
 	// argument predicts a small finish-time spread.
-	if sr.Spread > 0.15 {
-		t.Fatalf("port spread %.2f too large for symmetric ports", sr.Spread)
+	if spread := float64(maxFin)/float64(minFin) - 1; spread > 0.15 {
+		t.Fatalf("port spread %.2f too large for symmetric ports", spread)
 	}
-	if sr.MeanLatency <= 0 || sr.TotalEnergyPJ <= 0 {
+	total := mr.Energy.TotalPJ()
+	if mr.MeanLatency <= 0 || total <= 0 {
 		t.Fatal("aggregates not populated")
 	}
 	// Energy is roughly 8x a single port's.
-	single := sr.PerPort[0].Energy.TotalPJ()
-	if sr.TotalEnergyPJ < 6*single || sr.TotalEnergyPJ > 10*single {
-		t.Fatalf("system energy %.0f vs single %.0f", sr.TotalEnergyPJ, single)
+	single := mr.PerPort[0].Energy.TotalPJ()
+	if total < 6*single || total > 10*single {
+		t.Fatalf("machine energy %.0f vs single %.0f", total, single)
+	}
+	// Port 0 keeps the base seed, so it is the single-port run.
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mr.PerPort[0], res) {
+		t.Errorf("port 0 differs from Run\n port0: %+v\n   run: %+v", mr.PerPort[0], res)
 	}
 }

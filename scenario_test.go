@@ -2,6 +2,7 @@ package memnet
 
 import (
 	"bytes"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -158,5 +159,33 @@ func TestScenarioSchemaExposed(t *testing.T) {
 	}
 	if _, err := LoadScenarioFile("no/such/file.json"); err == nil {
 		t.Error("missing file not reported")
+	}
+}
+
+// TestScenarioMachineSkipsCapacityEquation checks a machine run
+// validates a scenario like the single-port run does: a DRAMFraction
+// that does not solve the capacity equation is legal, because the
+// spec declares the cube population.
+func TestScenarioMachineSkipsCapacityEquation(t *testing.T) {
+	f, err := os.Open("examples/scenario/twopod.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s, err := LoadScenario(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Scenario: s, Workload: "KMEANS", DRAMFraction: 0.3, Transactions: 1000, Seed: 1}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr, err := RunMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mr.PerPort[0], res) {
+		t.Errorf("port 0 differs from Run\n port0: %+v\n   run: %+v", mr.PerPort[0], res)
 	}
 }
