@@ -84,6 +84,14 @@ func main() {
 		opts.Parallel = *shards
 	}
 
+	runner := experiments.NewRunner(opts)
+	exps := experimentList(runner)
+	var want map[string]bool
+	if *shardStr == "" && *scenFlag == "" {
+		want, err = selectExperiments(*expFlag, exps)
+		fatalIf(err)
+	}
+
 	var store *campaign.Store
 	if *cacheDir != "" {
 		store, err = campaign.Open(*cacheDir)
@@ -100,7 +108,6 @@ func main() {
 		mergeShards(store, *mergeStr)
 	}
 
-	runner := experiments.NewRunner(opts)
 	var counter campaign.Counter
 	if store != nil {
 		runner.Sim = campaign.CachedSim(store, nil, &counter)
@@ -137,31 +144,8 @@ func main() {
 		return
 	}
 
-	type exp struct {
-		id string
-		fn func() (*experiments.Table, error)
-	}
-	all := []exp{
-		{"table1", func() (*experiments.Table, error) { return experiments.Table1() }},
-		{"table2", nil}, // special-cased text
-	}
-	for _, f := range runner.Figures() {
-		all = append(all, exp{f.ID, f.Fn})
-	}
-
-	want := map[string]bool{}
-	if *expFlag == "all" {
-		for _, e := range all {
-			want[e.id] = true
-		}
-	} else {
-		for _, id := range strings.Split(*expFlag, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
-	}
-
 	manifest := experiments.NewRunManifest(opts)
-	for _, e := range all {
+	for _, e := range exps {
 		if !want[e.id] {
 			continue
 		}
@@ -288,6 +272,56 @@ func emit(id, content, dir, ext string) {
 		fatal(err)
 	}
 	fmt.Println("wrote", path)
+}
+
+// experiment is one table or figure mnexp can regenerate; fn is nil for
+// table2, which is text.
+type experiment struct {
+	id string
+	fn func() (*experiments.Table, error)
+}
+
+// experimentList returns every experiment in output order.
+func experimentList(r *experiments.Runner) []experiment {
+	list := []experiment{
+		{"table1", func() (*experiments.Table, error) { return experiments.Table1() }},
+		{"table2", nil},
+	}
+	for _, f := range r.Figures() {
+		list = append(list, experiment{f.ID, f.Fn})
+	}
+	return list
+}
+
+// selectExperiments resolves an -exp value against list: "all" selects
+// every experiment, otherwise each comma-separated id must name one.
+func selectExperiments(spec string, list []experiment) (map[string]bool, error) {
+	want := map[string]bool{}
+	if spec == "all" {
+		for _, e := range list {
+			want[e.id] = true
+		}
+		return want, nil
+	}
+	valid := map[string]bool{}
+	var ids []string
+	for _, e := range list {
+		valid[e.id] = true
+		ids = append(ids, e.id)
+	}
+	var unknown []string
+	for _, id := range strings.Split(spec, ",") {
+		id = strings.TrimSpace(id)
+		if !valid[id] {
+			unknown = append(unknown, fmt.Sprintf("%q", id))
+		}
+		want[id] = true
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown -exp id %s; valid ids: %s, or all",
+			strings.Join(unknown, ", "), strings.Join(ids, ","))
+	}
+	return want, nil
 }
 
 // fatal prints the error and exits.

@@ -42,7 +42,6 @@ type Stats struct {
 // Quadrant is one vault controller.
 type Quadrant struct {
 	eng   *sim.Engine
-	tech  config.MemTech
 	index int
 	// extPorts is the owning cube's external-link count; quadrant q is
 	// associated with external link q mod extPorts for the
@@ -50,7 +49,7 @@ type Quadrant struct {
 	extPorts int
 	penalty  sim.Time
 
-	banks   []mem.Bank
+	banks   mem.Array
 	bankMap BankMap
 	retDist ReturnDist
 	meter   *energy.Meter
@@ -95,7 +94,6 @@ type Config struct {
 func New(eng *sim.Engine, cfg Config) *Quadrant {
 	q := &Quadrant{
 		eng:         eng,
-		tech:        cfg.Tech,
 		index:       cfg.Index,
 		extPorts:    cfg.ExtPorts,
 		penalty:     cfg.Penalty,
@@ -107,11 +105,9 @@ func New(eng *sim.Engine, cfg Config) *Quadrant {
 	if q.maxInflight <= 0 {
 		q.maxInflight = 16
 	}
-	q.banks = make([]mem.Bank, cfg.Banks)
-	for i := range q.banks {
-		offset := sim.Time(cfg.Index*cfg.Banks+i) * 97 * sim.Nanosecond
-		q.banks[i] = mem.MakeBank(cfg.Tech, cfg.Timing, offset)
-	}
+	const stagger = 97 * sim.Nanosecond
+	q.banks = mem.MakeArray(cfg.Tech, cfg.Timing, cfg.Banks,
+		sim.Time(cfg.Index*cfg.Banks)*stagger, stagger)
 	q.pumpFn = func() {
 		q.pumpPending = false
 		q.pump()
@@ -139,7 +135,7 @@ func (q *Quadrant) Deliver() func(*packet.Packet) {
 }
 
 // Tech reports the quadrant's memory technology.
-func (q *Quadrant) Tech() config.MemTech { return q.tech }
+func (q *Quadrant) Tech() config.MemTech { return q.banks.Tech() }
 
 // Stats returns a copy of the counters.
 func (q *Quadrant) Stats() Stats { return q.stats }
@@ -155,21 +151,8 @@ func (q *Quadrant) QueueLen() int {
 	return q.in.Len(packet.VCRequest) + len(q.done)
 }
 
-// BankStats sums the per-bank counters.
-func (q *Quadrant) BankStats() mem.BankStats {
-	var s mem.BankStats
-	for i := range q.banks {
-		bs := q.banks[i].Stats()
-		s.Reads += bs.Reads
-		s.Writes += bs.Writes
-		s.RowHits += bs.RowHits
-		s.RowMisses += bs.RowMisses
-		s.RowConflicts += bs.RowConflicts
-		s.Refreshes += bs.Refreshes
-		s.BusyTime += bs.BusyTime
-	}
-	return s
-}
+// BankStats returns the counters summed over the quadrant's banks.
+func (q *Quadrant) BankStats() mem.BankStats { return q.banks.Stats() }
 
 func (q *Quadrant) kick() {
 	if q.pumpPending {
@@ -220,8 +203,8 @@ func (q *Quadrant) start(p *packet.Packet) {
 		q.stats.Reads++
 	}
 	q.inflight++
-	done := q.banks[bank].Access(start, row, kind)
-	q.meter.Access(q.tech, kind == mem.Write, AccessBits)
+	done := q.banks.Access(bank, start, row, kind)
+	q.meter.Access(q.banks.Tech(), kind == mem.Write, AccessBits)
 	q.eng.AtArg(done, q.completeFn, p)
 }
 
