@@ -158,40 +158,6 @@ func main() {
 		"Raw event schedule+dispatch through the heap (one pending event)",
 		seedBaseline["EngineEvents"], events)
 
-	fmt.Fprintln(os.Stderr, "mnbench: running EngineEventsParallel...")
-	par := measure(func(b *testing.B) {
-		b.ReportAllocs()
-		const shards = 4
-		const la = sim.Time(10)
-		p := sim.NewParallel(shards)
-		for i := 0; i < shards; i++ {
-			p.Connect(sim.ShardID(i), sim.ShardID((i+1)%shards), la)
-		}
-		hop := make([]sim.ArgHandler, shards)
-		for i := 0; i < shards; i++ {
-			s := p.Shard(i)
-			next := (i + 1) % shards
-			hop[i] = func(arg any) {
-				if n := arg.(int); n > 0 {
-					s.PostArg(sim.ShardID(next), s.Engine().Now()+la, hop[next], n-1)
-				}
-			}
-		}
-		quota := b.N / shards
-		if quota == 0 {
-			quota = 1
-		}
-		for i := 0; i < shards; i++ {
-			p.Shard(i).Engine().AtArg(0, hop[i], quota)
-		}
-		p.Run(shards)
-	})
-	parc := compare(
-		"Cross-shard post+merge+dispatch: 4 rings hopping around a 4-shard Parallel (worst case: every event crosses a boundary)",
-		seedBaseline["EngineEvents"], par)
-	parc.Shards = 4
-	rep.Benchmarks["EngineEventsParallel"] = parc
-
 	buf, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mnbench:", err)

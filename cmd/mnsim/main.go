@@ -35,7 +35,7 @@ func main() {
 		txns      = flag.Uint64("txns", 20000, "transactions to complete")
 		seed      = flag.Uint64("seed", 1, "workload seed")
 		ports     = flag.Int("ports", 8, "host memory ports")
-		shards    = flag.Int("shards", 0, "simulate the whole machine (all ports) on the partitioned parallel engine with N worker goroutines; results are identical for every N (0 = classic single-port run)")
+		shards    = flag.Int("shards", 0, "simulate the whole machine (all ports), one engine per port, on N run-pool workers; results are identical for every N (0 = classic single-port run)")
 		capTB     = flag.Int("capacity-tb", 2, "total memory capacity in TB")
 		verbose   = flag.Bool("v", false, "print per-component detail")
 		failLink  = flag.Int("fail-link", -1, "fail the topology edge with this index (RAS experiment)")
@@ -56,7 +56,7 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
 		reportJSON = flag.Bool("report-json", false, "print the run record (per-node report, results, config) as manifest-schema JSON")
-		metricsOut = flag.String("metrics-out", "", "write the run manifest JSON (config, seed, metrics, fairness) to this file; enables telemetry (with -shards: the machine manifest with per-shard engine introspection)")
+		metricsOut = flag.String("metrics-out", "", "write the run manifest JSON (config, seed, metrics, fairness) to this file; enables telemetry (with -shards: the machine manifest with per-port load records)")
 		sampleIv   = flag.Duration("sample-interval", 0, "telemetry gauge-sampling interval in sim time (default 10us); enables telemetry")
 		perfOut    = flag.String("perfetto-out", "", "write packet lifecycles and sampled counters as Perfetto/Chrome trace JSON (implies -trace 4096 unless set); enables telemetry")
 		seriesOut  = flag.String("series-out", "", "write the sampled gauge time series as CSV; enables telemetry")
@@ -164,7 +164,7 @@ func main() {
 	if *shards > 0 {
 		cfg.Shards = *shards
 		// The per-port sampler has no cross-port merge; the machine
-		// manifest below carries the parallel engine's own introspection.
+		// manifest below carries the per-port load records.
 		cfg.Telemetry = nil
 		mr, err := memnet.RunMachine(cfg)
 		check(err)

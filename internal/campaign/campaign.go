@@ -8,6 +8,7 @@ import (
 
 	"memnet/internal/core"
 	"memnet/internal/experiments"
+	"memnet/internal/pool"
 	"memnet/internal/sim"
 )
 
@@ -218,7 +219,7 @@ type RunStats struct {
 
 // RunShard executes this campaign shard: it enumerates the grid,
 // selects the shard's partition, and runs every unit not already in the
-// store on the experiments.ForEach pool, writing each result to the
+// store on the pool.ForEach run pool, writing each result to the
 // store as it completes. Already-cached units are skipped (this is what
 // makes an interrupted campaign resumable: re-running a shard only
 // simulates what is missing). The earliest failing unit's error stops
@@ -255,7 +256,7 @@ func RunShard(opts experiments.Options, store *Store, shard Shard, progress func
 	}
 
 	var mu sync.Mutex // serializes store writes, stats and progress
-	err = experiments.ForEach(opts.Parallel, len(todo), func(i int) error {
+	err = pool.ForEach(opts.Parallel, len(todo), func(i int) error {
 		u := todo[i]
 		res, err := core.Simulate(u.Params)
 		if err != nil {

@@ -270,11 +270,6 @@ func TechOrder(sys *config.System) ([]config.MemTech, error) {
 	return techs, nil
 }
 
-// Build constructs a simulation instance from params on a fresh engine.
-func Build(p Params) (*Instance, error) {
-	return buildOn(sim.NewEngine(), p)
-}
-
 // validateSys checks the system configuration. Scenario runs skip the
 // capacity equation: their cube population is whatever the spec
 // declares, not a solution of DRAMFraction against TotalCapacity.
@@ -285,14 +280,13 @@ func (p *Params) validateSys() error {
 	return p.Sys.Validate()
 }
 
-// buildOn constructs a simulation instance on a caller-supplied engine,
-// so a partitioned machine run can place each port's instance on its
-// shard's engine. The engine must be at time zero with nothing pending.
-func buildOn(eng *sim.Engine, p Params) (*Instance, error) {
+// Build constructs a simulation instance from params on a fresh engine.
+func Build(p Params) (*Instance, error) {
+	eng := sim.NewEngine()
 	var scen *scenario.Spec
 	if p.Scenario != nil {
 		// Clone before normalizing: the caller's spec may be shared
-		// across concurrently building shards (RunMachine).
+		// across concurrently building ports (RunMachine).
 		scen = p.Scenario.Clone()
 		if err := scen.Normalize(); err != nil {
 			return nil, err
@@ -1098,17 +1092,8 @@ func (in *Instance) Run() (Results, error) {
 		return !in.Port.Done()
 	})
 	if in.Watchdog != nil && in.Watchdog.Tripped() {
-		// In a partitioned machine run each shard has its own clock; a
-		// wedge is local to one shard, so name it and report its local
-		// trip time rather than implying a global stall.
-		where := ""
-		if in.Watchdog.Shard() != sim.NoShard {
-			where = fmt.Sprintf(" [shard %d, local time %v]",
-				in.Watchdog.Shard(), in.Watchdog.TrippedAt())
-		}
 		return Results{}, fmt.Errorf(
-			"core: watchdog%s: no forward progress over %v with packets in flight in %s/%s (%d/%d transactions at %v)\n%s",
-			where,
+			"core: watchdog: no forward progress over %v with packets in flight in %s/%s (%d/%d transactions at %v)\n%s",
 			sim.Time(in.faultCfg.WatchdogStale)*in.faultCfg.WatchdogInterval,
 			in.Params.Label(), in.Params.Workload.Name,
 			in.Collector.Completed(), in.Params.Transactions, in.Eng.Now(),

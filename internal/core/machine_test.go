@@ -7,7 +7,9 @@ import (
 
 	"memnet/internal/arb"
 	"memnet/internal/config"
+	"memnet/internal/fault"
 	"memnet/internal/obs"
+	"memnet/internal/sim"
 	"memnet/internal/topology"
 	"memnet/internal/workload"
 )
@@ -33,28 +35,62 @@ func machineBase(t *testing.T, topo topology.Kind, txns uint64) Params {
 	}
 }
 
+// machineWorkers covers the <= 0 clamp, one worker, a count that does
+// not divide the eight ports, exactly one worker per port, and more
+// workers than ports.
+var machineWorkers = []int{0, 1, 3, 8, 9}
+
 // TestMachineShardCountInvariant is the core bit-identity acceptance
 // check: a whole-machine run must produce exactly the same
-// MachineResults — every per-port field included — whether it runs on
-// one worker goroutine or four, across every topology family.
+// MachineResults — every per-port field included — at every worker
+// count, across every topology family.
 func TestMachineShardCountInvariant(t *testing.T) {
 	for _, k := range []topology.Kind{topology.Chain, topology.Ring, topology.Tree, topology.SkipList} {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			t.Parallel()
 			base := machineBase(t, k, 400)
-			seq, err := RunMachine(MachineParams{Base: base, Shards: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := RunMachine(MachineParams{Base: base, Shards: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Errorf("shards=1 vs shards=4 results differ\n seq: %+v\n par: %+v", seq, par)
+			var ref MachineResults
+			for i, workers := range machineWorkers {
+				mr, err := RunMachine(MachineParams{Base: base, Shards: workers})
+				if err != nil {
+					t.Fatalf("shards=%d: %v", workers, err)
+				}
+				if i == 0 {
+					ref = mr
+				} else if !reflect.DeepEqual(ref, mr) {
+					t.Errorf("shards=%d vs shards=%d results differ\n ref: %+v\n got: %+v",
+						machineWorkers[0], workers, ref, mr)
+				}
 			}
 		})
+	}
+}
+
+// TestMachineBuildErrorIndependentOfWorkers makes every port fail in
+// Build (a repair of a link that was never killed) and requires the
+// same port-0 error at every worker count: the lowest failing port
+// wins, however the pool interleaves the ports.
+func TestMachineBuildErrorIndependentOfWorkers(t *testing.T) {
+	base := machineBase(t, topology.Ring, 100)
+	base.Fault = &fault.Config{RepairLinks: []fault.LinkRepair{{Edge: 2, At: sim.Microsecond}}}
+	if _, err := Build(base); err == nil {
+		t.Fatal("Build accepted a repair of a link that is not down")
+	}
+	var want string
+	for _, workers := range machineWorkers {
+		_, err := RunMachine(MachineParams{Base: base, Shards: workers})
+		if err == nil {
+			t.Fatalf("shards=%d: RunMachine accepted a schedule Build rejects", workers)
+		}
+		if want == "" {
+			want = err.Error()
+			if !strings.HasPrefix(want, "core: machine: port 0: ") {
+				t.Fatalf("shards=%d: err = %q, want the port 0 error", workers, want)
+			}
+		} else if err.Error() != want {
+			t.Errorf("shards=%d: err = %q, want %q", workers, err, want)
+		}
 	}
 }
 

@@ -232,7 +232,7 @@ func TestScenarioLinkWiring(t *testing.T) {
 	s.Links[0].VCs = &one
 	s.Links[2].BandwidthBps = &bw
 	s.Links[2].SerDesPs = &ser
-	inst, err := buildOn(sim.NewEngine(), scenarioParams(t, s))
+	inst, err := Build(scenarioParams(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +283,8 @@ func TestScenarioPerLinkRetries(t *testing.T) {
 	}
 }
 
-// TestScenarioMachineShardsIdentical checks a scenario run through the
-// partitioned machine engine stays bit-identical across worker counts.
+// TestScenarioMachineShardsIdentical checks a scenario machine run
+// stays bit-identical across worker counts.
 func TestScenarioMachineShardsIdentical(t *testing.T) {
 	base := scenarioParams(t, twoPod())
 	base.Transactions = 400

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -340,10 +341,10 @@ func TestTimelineInManifest(t *testing.T) {
 	}
 }
 
-// TestMachineManifestGauges: machine runs carry the parallel engine's
-// introspection (per-shard barrier wait, lookahead-slack histogram,
-// events per window) for every worker count, the record is identical
-// across -shards values, and the manifest validates.
+// TestMachineManifestGauges: machine runs carry a per-port load record
+// (events, finish time, barrier wait) for every worker count, the
+// record is identical across -shards values, and the encoded manifest
+// validates and carries exactly the v2 per-port keys.
 func TestMachineManifestGauges(t *testing.T) {
 	wl := kmeans(t)
 	base := Params{
@@ -364,13 +365,13 @@ func TestMachineManifestGauges(t *testing.T) {
 		if len(mr.Shards) != base.Sys.Ports {
 			t.Fatalf("shards=%d: %d shard records, want %d", shards, len(mr.Shards), base.Sys.Ports)
 		}
-		if mr.Windows == 0 {
-			t.Errorf("shards=%d: zero windows", shards)
-		}
 		var sawWait bool
 		for i, sl := range mr.Shards {
 			if sl.Shard != i || sl.Events == 0 || sl.FinishPs == 0 {
 				t.Errorf("shards=%d: degenerate shard record %+v", shards, sl)
+			}
+			if sl.Events != mr.PerPort[i].Events || sl.FinishPs != int64(mr.PerPort[i].FinishTime) {
+				t.Errorf("shards=%d: shard %d record %+v disagrees with its port results", shards, i, sl)
 			}
 			if sl.BarrierWaitPs > 0 {
 				sawWait = true
@@ -383,20 +384,49 @@ func TestMachineManifestGauges(t *testing.T) {
 			t.Errorf("shards=%d: every port finished at the same instant (no barrier wait recorded)", shards)
 		}
 		if prev != nil && !reflect.DeepEqual(*prev, mr) {
-			t.Errorf("machine results (introspection included) differ across shard counts")
+			t.Errorf("machine results (load records included) differ across shard counts")
 		}
 		prev = &mr
-		m := MachineManifest(mp, mr)
 		var buf bytes.Buffer
-		if err := m.Encode(&buf); err != nil {
+		if err := MachineManifest(mp, mr).Encode(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if err := obs.ValidateManifestJSON(buf.Bytes()); err != nil {
 			t.Errorf("machine manifest fails schema: %v\n%s", err, buf.String())
 		}
-		rec, ok := m.Machine.(MachineRecord)
-		if !ok || rec.Windows != mr.Windows || rec.EventsPerWindow <= 0 {
-			t.Errorf("machine record %+v inconsistent with results", m.Machine)
+		var doc struct {
+			Schema  string
+			Machine map[string]json.RawMessage
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.Schema != obs.ManifestSchema {
+			t.Errorf("schema = %q, want %q", doc.Schema, obs.ManifestSchema)
+		}
+		for _, gone := range []string{"windows", "events_per_window"} {
+			if _, ok := doc.Machine[gone]; ok {
+				t.Errorf("shards=%d: machine record still carries %q", shards, gone)
+			}
+		}
+		var ports []map[string]json.RawMessage
+		if err := json.Unmarshal(doc.Machine["shards"], &ports); err != nil {
+			t.Fatal(err)
+		}
+		if len(ports) != base.Sys.Ports {
+			t.Fatalf("shards=%d: manifest has %d port records, want %d", shards, len(ports), base.Sys.Ports)
+		}
+		for i, port := range ports {
+			for _, key := range []string{"events", "finish_ps", "barrier_wait_ps"} {
+				if _, ok := port[key]; !ok {
+					t.Errorf("shards=%d: port %d record lacks %q", shards, i, key)
+				}
+			}
+			for _, gone := range []string{"posts", "merged", "max_inbox", "lookahead_slack"} {
+				if _, ok := port[gone]; ok {
+					t.Errorf("shards=%d: port %d record still carries %q", shards, i, gone)
+				}
+			}
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"memnet/internal/arb"
 	"memnet/internal/config"
 	"memnet/internal/core"
+	"memnet/internal/pool"
 	"memnet/internal/topology"
 	"memnet/internal/workload"
 )
@@ -190,7 +191,7 @@ type pair struct {
 }
 
 // Warm executes all missing (cfg, workload) pairs concurrently on the
-// ForEach pool and fills the cache. Each simulation is an independent
+// pool.ForEach run pool and fills the cache. Each simulation is an independent
 // engine, so parallel scheduling cannot change any result. The error of
 // the earliest failing pair is returned, and no results are cached when
 // any run fails.
@@ -208,7 +209,7 @@ func (r *Runner) Warm(cfgs []MNConfig, suite []workload.Spec) error {
 		}
 	}
 	results := make([]core.Results, len(todo))
-	err := ForEach(r.Opts.Parallel, len(todo), func(i int) error {
+	err := pool.ForEach(r.Opts.Parallel, len(todo), func(i int) error {
 		p := todo[i]
 		res, err := r.simulate(r.params(p.cfg, p.wl))
 		if err != nil {

@@ -196,8 +196,8 @@ func TestScheduleRepairOrdering(t *testing.T) {
 	}
 	want := []EventKind{
 		EvKillLink, EvLaneFail, // both at 100ns, fault declaration order
-		EvKillCube,                // 500ns
-		EvRepairLink,              // 400ns + 200ns window = 600ns
+		EvKillCube,                 // 500ns
+		EvRepairLink,               // 400ns + 200ns window = 600ns
 		EvRepairCube, EvLaneRepair, // both at 900ns
 	}
 	if !reflect.DeepEqual(kinds, want) {

@@ -153,14 +153,6 @@ type Direction struct {
 	pumpFn   sim.Handler
 	arriveFn sim.ArgHandler
 
-	// crossPost, when set, replaces direct engine scheduling of the
-	// arrival event: the direction sits on a shard boundary and the
-	// receiver's components live on another shard's engine, so arrivals
-	// must travel through the partitioned engine's inbox instead. The
-	// SerDes latency is the lookahead that makes this safe — every
-	// arrival lands at least SerDesLatency past the sender's clock.
-	crossPost func(at sim.Time, fn sim.ArgHandler, arg any)
-
 	// onShip, when set (SetOnShip), observes every transmission that
 	// will land: enq/pop bound the output-queue residence, start/end the
 	// final wire occupancy (start > pop only after CRC retries). The
@@ -219,20 +211,6 @@ func New(eng *sim.Engine, cfg Config, meter Meter) *Direction {
 
 // SetDeliver wires the receiver callback.
 func (d *Direction) SetDeliver(fn func(*packet.Packet)) { d.deliver = fn }
-
-// SetCrossShard marks this direction as a shard-boundary link: arrival
-// events are handed to post (typically sim.Shard.PostArg bound to the
-// receiving shard) instead of the local engine, carrying the packet
-// across the partition at full SerDes latency. The deliver callback
-// then runs on the receiving shard's engine. Requires a positive
-// SerDes latency — a zero-latency boundary would give the partitioned
-// engine no lookahead window.
-func (d *Direction) SetCrossShard(post func(at sim.Time, fn sim.ArgHandler, arg any)) {
-	if post != nil && d.cfg.SerDesLatency <= 0 {
-		panic("link: cross-shard boundary requires positive SerDes latency for lookahead")
-	}
-	d.crossPost = post
-}
 
 // SetOnSpace wires the output-queue-space callback.
 func (d *Direction) SetOnSpace(fn func(packet.VC)) { d.onSpace = fn }
@@ -516,10 +494,6 @@ func (d *Direction) finishTransmit(p *packet.Packet, vc packet.VC, attempts int,
 	// The transmission will land: its credit is now owed back by the
 	// receiver (CompleteRetrain subtracts these when re-arming credits).
 	d.outstanding[vc]++
-	if d.crossPost != nil {
-		d.crossPost(end+d.cfg.SerDesLatency, d.arriveFn, p)
-		return
-	}
 	d.eng.AtArg(end+d.cfg.SerDesLatency, d.arriveFn, p)
 }
 

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/types"
-	"sort"
 )
 
 // Facts is mnlint's cross-package fact store: a map from
@@ -21,10 +20,6 @@ import (
 // compare, but "memnet/internal/link.(Direction).ReturnCredit" does.
 type Facts struct {
 	m map[factKey]any
-	// pkgs records, per fact name, which (pkg, object) pairs carry it,
-	// so analyzers can enumerate facts of a kind across every package
-	// analyzed so far (lookahead does this for Connect declarations).
-	byName map[string][]factKey
 }
 
 type factKey struct {
@@ -35,7 +30,7 @@ type factKey struct {
 
 // NewFacts returns an empty store.
 func NewFacts() *Facts {
-	return &Facts{m: map[factKey]any{}, byName: map[string][]factKey{}}
+	return &Facts{m: map[factKey]any{}}
 }
 
 // ObjectPath renders the stable intra-package path of a function,
@@ -61,7 +56,7 @@ func (f *Facts) ExportObjectFact(obj types.Object, name string, value any) {
 	if obj == nil || obj.Pkg() == nil {
 		return
 	}
-	f.export(factKey{obj.Pkg().Path(), ObjectPath(obj), name}, value)
+	f.m[factKey{obj.Pkg().Path(), ObjectPath(obj), name}] = value
 }
 
 // ObjectFact returns the named fact about obj, if recorded.
@@ -77,35 +72,11 @@ func (f *Facts) ObjectFact(obj types.Object, name string) (any, bool) {
 // Multiple exports under the same key overwrite; use distinct names or
 // aggregate values for accumulation.
 func (f *Facts) ExportPackageFact(pkgPath, name string, value any) {
-	f.export(factKey{pkgPath, "", name}, value)
+	f.m[factKey{pkgPath, "", name}] = value
 }
 
 // PackageFact returns the named package-level fact of pkgPath.
 func (f *Facts) PackageFact(pkgPath, name string) (any, bool) {
 	v, ok := f.m[factKey{pkgPath, "", name}]
 	return v, ok
-}
-
-// AllFacts returns every value recorded under the fact name, ordered
-// deterministically by (package, object) key.
-func (f *Facts) AllFacts(name string) []any {
-	keys := f.byName[name]
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].pkg != keys[j].pkg {
-			return keys[i].pkg < keys[j].pkg
-		}
-		return keys[i].object < keys[j].object
-	})
-	out := make([]any, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, f.m[k])
-	}
-	return out
-}
-
-func (f *Facts) export(k factKey, value any) {
-	if _, exists := f.m[k]; !exists {
-		f.byName[k.name] = append(f.byName[k.name], k)
-	}
-	f.m[k] = value
 }

@@ -42,7 +42,7 @@ type Problem[F any] struct {
 
 	// EdgeTransfer, when non-nil, refines the fact flowing along one
 	// specific edge before it joins into the successor — the hook
-	// path-sensitive analyses (fsmcheck, lookahead) use to learn from
+	// path-sensitive analyses (fsmcheck) uses to learn from
 	// branch conditions. For a block with a non-nil Cond, succIdx 0 is
 	// the true edge and 1 the false edge. Only meaningful Forward.
 	EdgeTransfer func(from *Block, succIdx int, out F) F

@@ -14,15 +14,13 @@
 //	           packages (campaign, experiments, obs, fnv)
 //	creditflow every flow-credit decrement or delivery-closure packet
 //	           reaches a credit sink on all paths (CFG dataflow)
-//	lookahead  no cross-shard post scheduled below the smallest declared
-//	           Connect lookahead (constant propagation over the CFG)
 //	fsmcheck   state-field writes follow the //lint:fsm declared
 //	           transition relation (branch-refined state masks)
 //
-// The last three run on the internal/lint/cfg dataflow engine and
-// exchange cross-package facts through the shared analysis.Facts store,
-// so callee summaries from internal/link and internal/sim are visible
-// when internal/core is analyzed.
+// The last two run on the internal/lint/cfg dataflow engine; creditflow
+// also exchanges cross-package facts through the shared analysis.Facts
+// store, so callee summaries from internal/link and internal/sim are
+// visible when internal/core is analyzed.
 //
 // See DESIGN.md ("Determinism rules" and "Dataflow linting") for the
 // rationale and the //lint: annotation escape hatches. cmd/mnlint is
@@ -35,7 +33,6 @@ import (
 	"memnet/internal/lint/detmap"
 	"memnet/internal/lint/doccheck"
 	"memnet/internal/lint/fsmcheck"
-	"memnet/internal/lint/lookahead"
 	"memnet/internal/lint/poolcheck"
 	"memnet/internal/lint/schedcheck"
 	"memnet/internal/lint/sharedstate"
@@ -54,7 +51,6 @@ func Analyzers() []*analysis.Analyzer {
 		statskey.Analyzer,
 		doccheck.Analyzer,
 		creditflow.Analyzer,
-		lookahead.Analyzer,
 		fsmcheck.Analyzer,
 	}
 }

@@ -91,7 +91,7 @@ func loopCarried(pool *packet.Pool, n int) {
 	p := pool.Get()
 	for i := 0; i < n; i++ {
 		p.Addr = uint64(i) // want `use of packet p after it was released to the pool`
-		pool.Put(p) // want `use of packet p after it was released to the pool`
+		pool.Put(p)        // want `use of packet p after it was released to the pool`
 	}
 }
 

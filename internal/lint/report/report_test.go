@@ -26,12 +26,12 @@ func sample() []analysis.Finding {
 		mk("creditflow", "internal/core/core.go", 12, 5, "credit decrement does not reach a credit sink on every path to return (retire it, or annotate //lint:creditsink)"),
 		mk("detmap", "internal/link/link.go", 40, 2, "map iteration order is nondeterministic"),
 		mk("fsmcheck", "internal/link/link.go", 7, 1, "undeclared state transition down -> up on field state (//lint:fsm allows no such edge; annotate //lint:fsmtrans if deliberate)"),
-		mk("lookahead", "internal/core/core.go", 12, 5, "cross-shard post is scheduled at the sender's clock; every declared channel requires a positive lookahead, so this panics at the boundary"),
+		mk("schedcheck", "internal/core/core.go", 12, 5, "negative constant delay -1"),
 	}
 }
 
 const goldenText = `internal/core/core.go:12:5: creditflow: credit decrement does not reach a credit sink on every path to return (retire it, or annotate //lint:creditsink)
-internal/core/core.go:12:5: lookahead: cross-shard post is scheduled at the sender's clock; every declared channel requires a positive lookahead, so this panics at the boundary
+internal/core/core.go:12:5: schedcheck: negative constant delay -1
 internal/link/link.go:7:1: fsmcheck: undeclared state transition down -> up on field state (//lint:fsm allows no such edge; annotate //lint:fsmtrans if deliberate)
 internal/link/link.go:40:2: detmap: map iteration order is nondeterministic
 internal/link/link.go:40:2: poolcheck: use of packet p after it was released to the pool at internal/link/link.go:38:2

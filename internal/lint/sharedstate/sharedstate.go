@@ -1,17 +1,16 @@
 // Package sharedstate implements the mnlint analyzer that guards the
-// partitioned parallel engine's ownership discipline in internal/sim
-// and internal/core.
+// ownership discipline of internal/sim and internal/core.
 //
-// The parallel engine runs each shard's events on its own goroutine;
-// correctness rests on every piece of mutable state being owned by
-// exactly one shard, with cross-shard communication going through the
-// engine's inbox/channel machinery. Two static patterns break that
-// discipline:
+// The run pool (internal/pool) runs whole simulations — figure-grid
+// runs, campaign units and the ports of a machine run — on concurrent
+// worker goroutines; correctness rests on every piece of mutable state
+// being owned by exactly one simulation instance. Two static patterns
+// break that discipline:
 //
 //   - writes to package-level variables: global mutable state is
-//     reachable from every shard at once, so any runtime write is a
-//     data race waiting for a second shard (writes from init functions
-//     are allowed — they happen before any goroutine starts);
+//     reachable from every concurrent run at once, so any runtime write
+//     is a data race waiting for a second worker (writes from init
+//     functions are allowed — they happen before any goroutine starts);
 //
 //   - non-channel cross-goroutine access: a goroutine body (a function
 //     literal under a `go` statement, including nested literals) that
@@ -19,7 +18,7 @@
 //     memory instead of communicating. Channel sends/receives are the
 //     sanctioned hand-off and are not flagged.
 //
-// Deliberately synchronized state — a mutex-guarded inbox, a
+// Deliberately synchronized state — a mutex-guarded queue, a
 // barrier-ordered slice slot — carries a //lint:sharded annotation
 // naming the discipline that makes it safe.
 package sharedstate
@@ -42,8 +41,8 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // shardPackage reports whether the import path names one of the
-// packages running under the partitioned engine's ownership rules:
-// memnet/internal/sim or memnet/internal/core (or subpackages).
+// packages pool workers run concurrently: memnet/internal/sim or
+// memnet/internal/core (or subpackages).
 func shardPackage(path string) bool {
 	segs := strings.Split(path, "/")
 	for i, s := range segs {
@@ -67,7 +66,7 @@ func run(pass *analysis.Pass) (any, error) {
 }
 
 // checkGlobalWrites flags every runtime write to a package-level
-// variable. Writes inside init functions run before any shard goroutine
+// variable. Writes inside init functions run before any worker goroutine
 // exists and are exempt.
 func checkGlobalWrites(pass *analysis.Pass, dirs *lintutil.Directives, f *ast.File) {
 	for _, decl := range f.Decls {

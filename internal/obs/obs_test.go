@@ -239,7 +239,7 @@ func TestSchemaValidator(t *testing.T) {
 		}
 	}
 	// The embedded manifest schema parses and validates a minimal doc.
-	if err := ValidateManifestJSON([]byte(`{"schema":"memnet/run-manifest/v1","seed":1}`)); err != nil {
+	if err := ValidateManifestJSON([]byte(`{"schema":"memnet/run-manifest/v2","seed":1}`)); err != nil {
 		t.Errorf("minimal manifest rejected: %v", err)
 	}
 	if err := ValidateManifestJSON([]byte(`{"seed":1}`)); err == nil {

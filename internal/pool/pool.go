@@ -1,4 +1,8 @@
-package experiments
+// Package pool is memnet's one run pool: the index-claiming worker pool
+// behind experiments.Runner.Warm, campaign.RunShard and
+// core.RunMachine. It is a leaf package so that core, which experiments
+// imports, can use it too.
+package pool
 
 import (
 	"runtime"
@@ -6,9 +10,8 @@ import (
 	"sync/atomic"
 )
 
-// ForEach calls fn(i) for every i in [0, n) on a pool of workers — the
-// one job pool behind Runner.Warm and campaign.RunShard. workers <= 0
-// means GOMAXPROCS, and the count is clamped to n.
+// ForEach calls fn(i) for every i in [0, n) on a pool of workers.
+// workers <= 0 means GOMAXPROCS, and the count is clamped to n.
 //
 // Workers claim indices in increasing order from a shared counter.
 // Once any fn fails, no further index is claimed, but every claimed

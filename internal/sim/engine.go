@@ -90,20 +90,6 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending reports the number of events waiting in the queue.
 func (e *Engine) Pending() int { return len(e.heap) + e.laneLen }
 
-// PeekTime reports the scheduled time of the earliest pending event
-// without executing it, or false if the queue is empty. Lane events are
-// by construction at the current instant, so a non-empty lane pins the
-// answer at Now.
-func (e *Engine) PeekTime() (Time, bool) {
-	if e.laneLen > 0 {
-		return e.now, true
-	}
-	if len(e.heap) > 0 {
-		return e.heap[0].at, true
-	}
-	return 0, false
-}
-
 // Schedule arranges for fn to run after delay. A zero delay schedules the
 // event at the current time; it will still run after the currently
 // executing event returns (events never preempt each other).

@@ -25,14 +25,6 @@ type Watchdog struct {
 	stale   int
 	tripped bool
 	tickFn  Handler
-
-	// shard identifies which partition of a parallel run this watchdog
-	// guards (NoShard outside partitioned runs). A wedge in one shard
-	// of a Parallel simulation is local — the other shards' clocks keep
-	// advancing — so reporting must carry the shard ID and the shard's
-	// own clock, not a global time.
-	shard     ShardID
-	trippedAt Time
 }
 
 // NewWatchdog builds a watchdog but does not arm it; call Arm. progress
@@ -43,23 +35,10 @@ func NewWatchdog(eng *Engine, interval Time, limit int, progress func() uint64, 
 	if interval <= 0 || limit <= 0 {
 		panic("sim: watchdog needs positive interval and limit")
 	}
-	w := &Watchdog{eng: eng, interval: interval, limit: limit, progress: progress, busy: busy,
-		shard: NoShard, trippedAt: Never}
+	w := &Watchdog{eng: eng, interval: interval, limit: limit, progress: progress, busy: busy}
 	w.tickFn = w.tick
 	return w
 }
-
-// SetShard tags the watchdog with the shard it guards so a trip can be
-// reported against the right partition and its local clock.
-func (w *Watchdog) SetShard(id ShardID) { w.shard = id }
-
-// Shard reports the partition this watchdog guards (NoShard outside
-// partitioned runs).
-func (w *Watchdog) Shard() ShardID { return w.shard }
-
-// TrippedAt reports the shard-local simulated time at which the
-// watchdog tripped, or Never if it has not.
-func (w *Watchdog) TrippedAt() Time { return w.trippedAt }
 
 // Arm takes the baseline progress sample and schedules the first check.
 func (w *Watchdog) Arm() {
@@ -77,7 +56,6 @@ func (w *Watchdog) tick() {
 		w.stale = 0
 	} else if w.stale++; w.stale >= w.limit {
 		w.tripped = true
-		w.trippedAt = w.eng.Now()
 		return // stop rescheduling; the run loop sees Tripped
 	}
 	w.eng.Schedule(w.interval, w.tickFn)
