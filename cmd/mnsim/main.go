@@ -91,7 +91,7 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
 	cfg := memnet.DefaultConfig()
-	cfg.Topology, err = parseTopology(*topoFlag)
+	cfg.Topology, err = memnet.ParseTopology(*topoFlag)
 	check(err)
 	if *scenFlag != "" {
 		if explicit["topology"] {
@@ -311,25 +311,6 @@ func machineFlagConflict(shards int, spansOut, perfOut, seriesOut, recordTo stri
 		return nil
 	}
 	return fmt.Errorf("%s needs a single-port run: machine runs (-shards > 0) have no cross-port merge for per-port artifacts; drop -shards or %s", conflict, conflict)
-}
-
-func parseTopology(s string) (memnet.Topology, error) {
-	switch strings.ToLower(s) {
-	case "chain", "c":
-		return memnet.Chain, nil
-	case "ring", "r":
-		return memnet.Ring, nil
-	case "tree", "t":
-		return memnet.Tree, nil
-	case "skiplist", "skip-list", "sl":
-		return memnet.SkipList, nil
-	case "metacube", "mc":
-		return memnet.MetaCube, nil
-	case "mesh", "m":
-		return memnet.Mesh, nil
-	default:
-		return 0, fmt.Errorf("unknown topology %q", s)
-	}
 }
 
 func parseArb(s string) (memnet.Arbitration, error) {

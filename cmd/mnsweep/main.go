@@ -36,7 +36,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mnsweep: -values is required")
 		os.Exit(2)
 	}
-	topo, err := parseTopology(*topoFlag)
+	topo, err := memnet.ParseTopology(*topoFlag)
 	check(err)
 
 	fmt.Printf("param,value,finish_ns,mean_latency_ns,to_mem_ns,in_mem_ns,from_mem_ns,energy_uj\n")
@@ -99,25 +99,6 @@ func parseValues(s string) []int64 {
 		out = append(out, v)
 	}
 	return out
-}
-
-func parseTopology(s string) (memnet.Topology, error) {
-	switch strings.ToLower(s) {
-	case "chain", "c":
-		return memnet.Chain, nil
-	case "ring", "r":
-		return memnet.Ring, nil
-	case "tree", "t":
-		return memnet.Tree, nil
-	case "skiplist", "skip-list", "sl":
-		return memnet.SkipList, nil
-	case "metacube", "mc":
-		return memnet.MetaCube, nil
-	case "mesh", "m":
-		return memnet.Mesh, nil
-	default:
-		return 0, fmt.Errorf("unknown topology %q", s)
-	}
 }
 
 func check(err error) {

@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"memnet/internal/addr"
@@ -133,9 +134,11 @@ type Params struct {
 	// §2.4) with the given policy.
 	Migration *migrate.Config
 	// FailLinks lists edge indices (into the built topology's Edges) to
-	// fail before the run: a RAS experiment. Building fails if a listed
-	// link's loss would disconnect the network (chains and trees have no
-	// redundancy; rings, skip lists, and meshes reroute).
+	// remove before the run: a RAS experiment. Each index must exist and
+	// appear once. Building fails if the cut would disconnect the
+	// network (chains and trees have no redundancy; rings, skip lists,
+	// and meshes reroute). The run, its chaos schedules (Graph) and its
+	// scenario export all see the graph without these edges.
 	FailLinks []int
 	// Fault, when non-nil and enabled, arms the runtime fault-injection
 	// and resilience layer: link bit errors with retry, scheduled lane
@@ -155,13 +158,13 @@ type Params struct {
 	// Like Obs, it never changes what the simulation does: Results are
 	// bit-identical with Spans enabled and disabled.
 	Spans *span.Config
-	// Scenario, when non-nil, declares the component graph: the run
-	// builds topology.BuildScenario(Scenario) instead of
-	// topology.Build(Topo, ...), applies the spec's per-link and
-	// per-router overrides, and skips the capacity equation (the cube
-	// population is whatever the spec declares). Topo is derived from
-	// the spec (its built-in kind label, or topology.Scenario) and any
-	// caller-set value is ignored. The spec's workload and fault blocks
+	// Scenario, when non-nil, declares the component graph: Graph
+	// builds it with topology.BuildScenario instead of the compiled-in
+	// Topo, and Build applies the spec's per-link and per-router
+	// overrides and skips the capacity equation (the cube population is
+	// whatever the spec declares). Topo is derived from the spec (its
+	// built-in kind label, or topology.Scenario) and any caller-set
+	// value is ignored. The spec's workload and fault blocks
 	// are NOT applied here — callers resolve them into Workload and
 	// Fault (see memnet.Config and ScenarioFault) so precedence stays
 	// explicit.
@@ -280,18 +283,77 @@ func (p *Params) validateSys() error {
 	return p.Sys.Validate()
 }
 
-// Build constructs a simulation instance from params on a fresh engine.
-func Build(p Params) (*Instance, error) {
-	eng := sim.NewEngine()
-	var scen *scenario.Spec
+// Graph returns the routing graph a run of p simulates. It is the one
+// path from Params to a graph: Build wires it, and chaos schedules and
+// scenario exports address its edges, so every consumer of a
+// configuration sees the same edge indices.
+func Graph(p Params) (*topology.Graph, error) {
+	g, _, err := p.graph()
+	return g, err
+}
+
+// graph builds the run's topology. A scenario run gets the declared
+// graph from a normalized clone of p.Scenario, which it also returns
+// for its per-link and per-router overrides, and p.Topo becomes the
+// spec's kind. Any other run gets the compiled-in p.Topo over
+// TechOrder, with FailLinks removed: a build-time RAS cut, where a
+// runtime link kill is a fault.Config event against the intact graph.
+func (p *Params) graph() (*topology.Graph, *scenario.Spec, error) {
+	group := p.Tuning.MetaCubeGroup
+	if group < 0 {
+		return nil, nil, fmt.Errorf("core: Tuning.MetaCubeGroup: negative group %d", group)
+	}
 	if p.Scenario != nil {
+		// Removing edges would shift the indices the spec's per-link
+		// overrides and fault events address.
+		if len(p.FailLinks) > 0 {
+			return nil, nil, fmt.Errorf("core: FailLinks cannot combine with Scenario; drop the links from the scenario instead")
+		}
 		// Clone before normalizing: the caller's spec may be shared
 		// across concurrently building ports (RunMachine).
-		scen = p.Scenario.Clone()
+		scen := p.Scenario.Clone()
 		if err := scen.Normalize(); err != nil {
-			return nil, err
+			return nil, nil, err
+		}
+		kind, err := topology.ScenarioKind(scen)
+		if err != nil {
+			return nil, nil, err
+		}
+		p.Topo = kind
+		g, err := topology.BuildScenario(scen)
+		if err != nil {
+			return nil, nil, err
+		}
+		return g, scen, nil
+	}
+	techs, err := TechOrder(&p.Sys)
+	if err != nil {
+		return nil, nil, err
+	}
+	if group == 0 {
+		group = DefaultTuning().MetaCubeGroup
+	}
+	g, err := topology.Build(p.Topo, techs, topology.WithMetaCubeGroup(group))
+	if err != nil || len(p.FailLinks) == 0 {
+		return g, nil, err
+	}
+	for i, ei := range p.FailLinks {
+		if ei < 0 || ei >= len(g.Edges) {
+			return nil, nil, fmt.Errorf("core: FailLinks[%d]: no edge %d (%v has %d edges)", i, ei, p.Topo, len(g.Edges))
+		}
+		if slices.Contains(p.FailLinks[:i], ei) {
+			return nil, nil, fmt.Errorf("core: FailLinks[%d]: duplicate edge %d", i, ei)
 		}
 	}
+	g, err = g.RemoveEdge(p.FailLinks...)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: FailLinks: %w", err)
+	}
+	return g, nil, nil
+}
+
+// Build constructs a simulation instance from params on a fresh engine.
+func Build(p Params) (*Instance, error) {
 	if err := p.validateSys(); err != nil {
 		return nil, err
 	}
@@ -301,50 +363,11 @@ func Build(p Params) (*Instance, error) {
 	if p.Tuning == (Tuning{}) {
 		p.Tuning = DefaultTuning()
 	}
-
-	var g *topology.Graph
-	if scen != nil {
-		kind, err := topology.ScenarioKind(scen)
-		if err != nil {
-			return nil, err
-		}
-		p.Topo = kind
-		g, err = topology.BuildScenario(scen)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		techs, err := TechOrder(&p.Sys)
-		if err != nil {
-			return nil, err
-		}
-		var topoOpts []topology.Option
-		if p.Tuning.MetaCubeGroup > 0 {
-			topoOpts = append(topoOpts, topology.WithMetaCubeGroup(p.Tuning.MetaCubeGroup))
-		}
-		g, err = topology.Build(p.Topo, techs, topoOpts...)
-		if err != nil {
-			return nil, err
-		}
+	g, scen, err := p.graph()
+	if err != nil {
+		return nil, err
 	}
-	// Apply RAS failure injection, highest index first so earlier
-	// indices stay valid. Scenario runs must express missing links by
-	// editing the spec instead: removing edges here would shift the
-	// indices the spec's per-link overrides and fault events address.
-	if scen != nil && len(p.FailLinks) > 0 {
-		return nil, fmt.Errorf("core: FailLinks cannot combine with Scenario; drop the links from the scenario instead")
-	}
-	if len(p.FailLinks) > 0 {
-		idx := append([]int(nil), p.FailLinks...)
-		sort.Sort(sort.Reverse(sort.IntSlice(idx)))
-		for _, ei := range idx {
-			var err error
-			g, err = g.RemoveEdge(ei)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
+	eng := sim.NewEngine()
 
 	// Capacity-proportional interleave slots in cube position order.
 	var slots []addr.CubeSlot
@@ -484,7 +507,7 @@ func Build(p Params) (*Instance, error) {
 	if spec.Window > 0 && spec.Window < window {
 		window = spec.Window
 	}
-	hostPort := host.New(eng, host.Config{
+	hcfg := host.Config{
 		MaxOutstanding: window,
 		HostLatency:    p.Sys.HostLatency,
 		Target:         p.Transactions,
@@ -493,37 +516,11 @@ func Build(p Params) (*Instance, error) {
 		ShortcutLo:     p.Tuning.ShortcutLo,
 		ShortcutWindow: p.Tuning.ShortcutWindow,
 		WavefrontSize:  p.Tuning.WavefrontSize,
-		Observe: func() func(uint64) {
-			if migrator == nil {
-				return nil
-			}
-			return migrator.Observe
-		}(),
-		ReadyAt: func() func(uint64) sim.Time {
-			if migrator == nil {
-				return nil
-			}
-			return migrator.ReadyAt
-		}(),
-		Translate: func() func(uint64) uint64 {
-			if migrator == nil {
-				return nil
-			}
-			return migrator.Translate
-		}(),
-		OnInject: func() func(*packet.Packet) {
-			if tlog == nil {
-				return nil
-			}
-			return func(pk *packet.Packet) {
-				tlog.Record(trace.Event{
-					At: eng.Now(), Op: trace.Inject, Node: packet.HostNode,
-					ID: pk.ID, Kind: pk.Kind, Addr: pk.Addr,
-					Port: -1, VC: packet.VCOf(pk.Kind),
-				})
-			}
-		}(),
-	}, gen, host.Wiring{
+	}
+	if migrator != nil {
+		hcfg.Observe, hcfg.ReadyAt, hcfg.Translate = migrator.Observe, migrator.ReadyAt, migrator.Translate
+	}
+	hostPort := host.New(eng, hcfg, gen, host.Wiring{
 		DestOf: func(a uint64) packet.NodeID {
 			n := mapper.CubeOf(a)
 			if spare, ok := inst.rehome[n]; ok {
@@ -560,27 +557,9 @@ func Build(p Params) (*Instance, error) {
 		if n.Kind == topology.Host {
 			continue
 		}
-		xbar := p.Tuning.SwitchBandwidthBps
-		if n.Kind == topology.Iface {
-			xbar = p.Tuning.IfaceSwitchBandwidthBps
-		}
-		aKind, demotion := p.Arb, p.Tuning.WriteDemotion
-		if scen != nil {
-			if rs, ok := scen.RouterOf(int(n.ID)); ok {
-				if rs.Arb != "" {
-					k, err := scenario.ParseArb(rs.Arb)
-					if err != nil {
-						return nil, fmt.Errorf("core: routers.%d: %w", n.ID, err)
-					}
-					aKind = k
-				}
-				if rs.WriteDemotion != nil {
-					demotion = *rs.WriteDemotion
-				}
-				if rs.SwitchBandwidthBps != nil {
-					xbar = *rs.SwitchBandwidthBps
-				}
-			}
+		aKind, demotion, xbar, err := routerSettings(&p, n, scen)
+		if err != nil {
+			return nil, err
 		}
 		r := router.New(eng, n.ID, newPolicy(aKind, demotion), xbar)
 		if spans != nil {
@@ -608,28 +587,12 @@ func Build(p Params) (*Instance, error) {
 
 	dirs := make([]edgeDirs, len(g.Edges))
 	for ei, e := range g.Edges {
-		cfg := extLink
+		over := scen.LinkOf(ei)
+		base := extLink
 		if e.Interposer {
-			cfg = ipLink
+			base = ipLink
 		}
-		// Per-link scenario overrides; scen.Links is index-aligned with
-		// g.Edges by construction (BuildScenario preserves link order).
-		if scen != nil {
-			l := scen.Links[ei]
-			if l.BandwidthBps != nil {
-				cfg.BandwidthBps = *l.BandwidthBps
-			}
-			if l.SerDesPs != nil {
-				cfg.SerDesLatency = sim.Time(*l.SerDesPs) * sim.Picosecond
-			}
-			if l.BufferPackets != nil {
-				cfg.QueueDepth = *l.BufferPackets
-				cfg.Credits = *l.BufferPackets
-			}
-			if l.VCs != nil {
-				cfg.NoVCPriority = *l.VCs == 1
-			}
-		}
+		cfg := linkConfig(base, over)
 		dirs[ei] = edgeDirs{
 			ab: link.New(eng, cfg, meter),
 			ba: link.New(eng, cfg, meter),
@@ -637,18 +600,8 @@ func Build(p Params) (*Instance, error) {
 		// Bit errors afflict package-to-package SerDes channels; the
 		// wide parallel interposer traces inside a MetaCube are exempt.
 		if faultOn && !e.Interposer {
-			fa := inst.faultCfg.LinkFault(ei, 0)
-			fb := inst.faultCfg.LinkFault(ei, 1)
-			if scen != nil && scen.Links[ei].MaxRetries != nil {
-				if fa != nil {
-					fa.MaxRetries = *scen.Links[ei].MaxRetries
-				}
-				if fb != nil {
-					fb.MaxRetries = *scen.Links[ei].MaxRetries
-				}
-			}
-			dirs[ei].ab.AttachFault(fa)
-			dirs[ei].ba.AttachFault(fb)
+			dirs[ei].ab.AttachFault(linkFault(inst.faultCfg.LinkFault(ei, 0), over))
+			dirs[ei].ba.AttachFault(linkFault(inst.faultCfg.LinkFault(ei, 1), over))
 		}
 		if spans != nil {
 			la, lb := spanNode(e.A), spanNode(e.B)
@@ -672,11 +625,7 @@ func Build(p Params) (*Instance, error) {
 			} else {
 				out, in = dirs[ei].ba, dirs[ei].ab
 			}
-			depth := p.Sys.LinkBufferPackets
-			if scen != nil && scen.Links[ei].BufferPackets != nil {
-				depth = *scen.Links[ei].BufferPackets
-			}
-			buf := link.NewBuffer(depth, in.ReturnCredit)
+			buf := link.NewBuffer(in.BufferDepth(), in.ReturnCredit)
 			idx := r.AttachPort(buf, out)
 			in.SetDeliver(tap(r.Deliver(idx), trace.Arrive, n.ID, int8(idx)))
 		}
@@ -692,9 +641,16 @@ func Build(p Params) (*Instance, error) {
 		hostOut, hostIn = dirs[hostEdgeIdx].ba, dirs[hostEdgeIdx].ab
 	}
 	hostPort.Attach(hostOut)
-	if spans != nil {
-		hostPort.SetSpanHook(func(pk *packet.Packet, wait sim.Time) {
+	if spans != nil || tlog != nil {
+		hostPort.SetInjectHook(func(pk *packet.Packet, wait sim.Time) {
 			spans.Start(pk, eng.Now(), wait)
+			if tlog != nil {
+				tlog.Record(trace.Event{
+					At: eng.Now(), Op: trace.Inject, Node: packet.HostNode,
+					ID: pk.ID, Kind: pk.Kind, Addr: pk.Addr,
+					Port: -1, VC: packet.VCOf(pk.Kind),
+				})
+			}
 		})
 	}
 	hostIn.SetDeliver(tap(func(pk *packet.Packet) {
@@ -1044,6 +1000,64 @@ func techBiasHops(sys *config.System) int64 {
 		b = 0
 	}
 	return b
+}
+
+// routerSettings resolves a router's arbitration policy, write
+// demotion, and crossbar bandwidth: the run-wide settings (the
+// interface-chip crossbar for a MetaCube interface) under the node's
+// scenario router override, if any.
+func routerSettings(p *Params, n topology.Node, scen *scenario.Spec) (arb.Kind, int64, int64, error) {
+	kind, demotion, xbar := p.Arb, p.Tuning.WriteDemotion, p.Tuning.SwitchBandwidthBps
+	if n.Kind == topology.Iface {
+		xbar = p.Tuning.IfaceSwitchBandwidthBps
+	}
+	rs, ok := scen.RouterOf(int(n.ID))
+	if !ok {
+		return kind, demotion, xbar, nil
+	}
+	if rs.Arb != "" {
+		k, err := scenario.ParseArb(rs.Arb)
+		if err != nil {
+			return 0, 0, 0, fmt.Errorf("core: routers.%d: %w", n.ID, err)
+		}
+		kind = k
+	}
+	if rs.WriteDemotion != nil {
+		demotion = *rs.WriteDemotion
+	}
+	if rs.SwitchBandwidthBps != nil {
+		xbar = *rs.SwitchBandwidthBps
+	}
+	return kind, demotion, xbar, nil
+}
+
+// linkConfig applies a scenario link's overrides to the edge's default
+// (external or interposer) configuration. Both directions of the edge
+// and the receive buffers at its ends use the result.
+func linkConfig(cfg link.Config, l scenario.Link) link.Config {
+	if l.BandwidthBps != nil {
+		cfg.BandwidthBps = *l.BandwidthBps
+	}
+	if l.SerDesPs != nil {
+		cfg.SerDesLatency = sim.Time(*l.SerDesPs) * sim.Picosecond
+	}
+	if l.BufferPackets != nil {
+		cfg.QueueDepth = *l.BufferPackets
+		cfg.Credits = *l.BufferPackets
+	}
+	if l.VCs != nil {
+		cfg.NoVCPriority = *l.VCs == 1
+	}
+	return cfg
+}
+
+// linkFault applies a scenario link's retry-budget override to one
+// direction's fault state (nil when the direction has none).
+func linkFault(f *fault.LinkFault, l scenario.Link) *fault.LinkFault {
+	if f != nil && l.MaxRetries != nil {
+		f.MaxRetries = *l.MaxRetries
+	}
+	return f
 }
 
 // Results summarizes a completed run.

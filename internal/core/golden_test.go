@@ -110,3 +110,54 @@ func TestGoldenRunTwice(t *testing.T) {
 		t.Errorf("same params, different results:\n a: %+v\n b: %+v", a, b)
 	}
 }
+
+// TestGoldenFailLinks pins fixed-seed Results for build-time link cuts:
+// a ring cut next to the root, a skip-list central-chain cut (writes
+// fall back onto the express links) and a survivable two-link mesh cut
+// listed out of order. The values were recorded before FailLinks became
+// one validated edge-list removal, which must reproduce them exactly.
+func TestGoldenFailLinks(t *testing.T) {
+	wl, err := workload.ByName("KMEANS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		topo topology.Kind
+		arb  arb.Kind
+		fail []int
+		want Results
+	}{
+		{topology.Ring, arb.RoundRobin, []int{1}, Results{Label: "100%-R", Workload: "KMEANS", FinishTime: 8437139, MeanLatency: 126261,
+			Breakdown:    stats.Breakdown{ToMem: 49630, InMem: 28852, FromMem: 47779},
+			Energy:       energy.Breakdown{NetworkPJ: 6.845952e+07, ReadPJ: 9.824256e+06, WritePJ: 2.463744e+06},
+			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 8.914, Events: 196438}},
+		{topology.SkipList, arb.DistanceAugmented, []int{2}, Results{Label: "100%-SL", Workload: "KMEANS", FinishTime: 6549896, MeanLatency: 81240,
+			Breakdown:    stats.Breakdown{ToMem: 26990, InMem: 30626, FromMem: 23624},
+			Energy:       energy.Breakdown{NetworkPJ: 2.486784e+07, ReadPJ: 9.824256e+06, WritePJ: 2.463744e+06},
+			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 3.078, Events: 81871}},
+		{topology.Mesh, arb.Distance, []int{5, 2}, Results{Label: "100%-M", Workload: "KMEANS", FinishTime: 6838503, MeanLatency: 90587,
+			Breakdown:    stats.Breakdown{ToMem: 33175, InMem: 31127, FromMem: 26285},
+			Energy:       energy.Breakdown{NetworkPJ: 3.37344e+07, ReadPJ: 9.824256e+06, WritePJ: 2.463744e+06},
+			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 4.3925, Events: 106203}},
+	} {
+		c := c
+		t.Run(c.topo.String(), func(t *testing.T) {
+			t.Parallel()
+			res, err := Simulate(Params{
+				Sys:          config.Default(),
+				Topo:         c.topo,
+				Arb:          c.arb,
+				Workload:     wl,
+				Transactions: 2000,
+				Seed:         7,
+				FailLinks:    c.fail,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, c.want) {
+				t.Errorf("FailLinks %v results drifted\n got: %+v\nwant: %+v", c.fail, res, c.want)
+			}
+		})
+	}
+}

@@ -94,19 +94,11 @@ func (r *Runner) Chaos() (*Table, error) {
 	return t, nil
 }
 
-// chaosFault generates the validated schedule for one configuration by
-// rebuilding the run's topology graph (same construction core.Build
-// uses, so edge indices line up).
+// chaosFault generates the validated schedule for one configuration
+// against the graph the run builds (core.Graph), so edge indices line
+// up.
 func chaosFault(p core.Params, opts Options, wl workload.Spec) (fault.Config, error) {
-	techs, err := core.TechOrder(&p.Sys)
-	if err != nil {
-		return fault.Config{}, err
-	}
-	group := p.Tuning.MetaCubeGroup
-	if group == 0 {
-		group = core.DefaultTuning().MetaCubeGroup
-	}
-	g, err := topology.Build(p.Topo, techs, topology.WithMetaCubeGroup(group))
+	g, err := core.Graph(p)
 	if err != nil {
 		return fault.Config{}, err
 	}

@@ -3,6 +3,9 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"memnet/internal/core"
+	"memnet/internal/topology"
 )
 
 // TestChaosQuick runs the chaos validation harness at reduced scale:
@@ -52,5 +55,36 @@ func TestChaosScheduleStable(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("chaos schedules differ between identical runners:\n a: %+v\n b: %+v", a, b)
+	}
+}
+
+// TestChaosFaultHonorsFailLinks: the harness's schedule generator
+// builds the graph the run builds, so a configuration with a
+// build-time cut gets kills that name edges of the cut graph, and
+// every seed's schedule runs.
+func TestChaosFaultHonorsFailLinks(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		opts := Options{Transactions: 1500, Seed: seed}
+		r := NewRunner(opts)
+		wl := r.Opts.suite()[0]
+		p := r.params(MNConfig{Topo: topology.SkipList, DRAMFraction: 1.0}, wl)
+		p.FailLinks = []int{2}
+		fc, err := chaosFault(p, opts, wl)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		p.Fault = &fc
+		in, err := core.Build(p)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, k := range fc.KillLinks {
+			if k.Edge < 0 || k.Edge >= len(in.Graph.Edges) {
+				t.Fatalf("seed %d: kill of edge %d, the run's graph has %d", seed, k.Edge, len(in.Graph.Edges))
+			}
+		}
+		if _, err := in.Run(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 	}
 }

@@ -47,9 +47,6 @@ type Config struct {
 	// Translate, if set, maps a logical address to its current physical
 	// home (the migration indirection table) at injection time.
 	Translate func(addr uint64) uint64
-	// OnInject, if set, observes every packet as it enters the network
-	// (the tracing hook).
-	OnInject func(pk *packet.Packet)
 
 	// WavefrontSize groups read transactions GPU-style: a group's
 	// window slots are released only when the whole group has
@@ -110,10 +107,10 @@ type Port struct {
 	timerFn  sim.Handler
 	retireFn sim.ArgHandler
 
-	// spanHook, if set (SetSpanHook), observes every injection with the
-	// time the transaction waited for a window slot, coherence release,
-	// and injection credits — the span tracer's host.window source.
-	spanHook func(pk *packet.Packet, wait sim.Time)
+	// onInject, if set (SetInjectHook), observes every injection with
+	// the time the transaction waited for a window slot, coherence
+	// release, and injection credits.
+	onInject func(pk *packet.Packet, wait sim.Time)
 
 	// Coherence ordering point state.
 	pendingWrites map[uint64]int
@@ -188,11 +185,12 @@ func (p *Port) Attach(out *link.Direction) {
 	out.SetOnSpace(func(packet.VC) { p.Kick() })
 }
 
-// SetSpanHook wires the span tracer's injection observer: fn sees every
-// packet right after its header is built, with the window/coherence/
-// credit wait that preceded injection. Call before the run starts; a
-// nil fn disables the hook.
-func (p *Port) SetSpanHook(fn func(pk *packet.Packet, wait sim.Time)) { p.spanHook = fn }
+// SetInjectHook wires the port's one injection observer (lifecycle
+// trace and span tracer): fn sees every packet as it enters the network,
+// right after its header is built, with the window/coherence/credit wait
+// that preceded injection. Call before the run starts; a nil fn disables
+// the hook.
+func (p *Port) SetInjectHook(fn func(pk *packet.Packet, wait sim.Time)) { p.onInject = fn }
 
 // Receive is the arrival callback for the root-cube-to-host direction;
 // the host consumes responses immediately (its receive buffering is
@@ -397,11 +395,8 @@ func (p *Port) inject(tx workload.Tx, arrive sim.Time) {
 	}
 	p.inflight++
 	p.injected++
-	if p.spanHook != nil {
-		p.spanHook(pk, now-arrive)
-	}
-	if p.cfg.OnInject != nil {
-		p.cfg.OnInject(pk)
+	if p.onInject != nil {
+		p.onInject(pk, now-arrive)
 	}
 	if g := p.cfg.WavefrontSize; g > 1 && kind == packet.ReadReq {
 		wf := p.wfNext

@@ -357,19 +357,28 @@ func TestMigrationHooks(t *testing.T) {
 	}
 }
 
+// TestOnInjectHook: the port's one injection hook sees each packet once,
+// at its injection instant, with the window wait that preceded it.
 func TestOnInjectHook(t *testing.T) {
-	gen := &scripted{txs: []workload.Tx{{Addr: 0x40, Gap: 0}}}
-	cfg := baseCfg(1)
-	count := 0
-	cfg.OnInject = func(pk *packet.Packet) {
-		count++
+	gen := &scripted{txs: []workload.Tx{{Addr: 0x40, Gap: 0}, {Addr: 0x80, Gap: 0}}}
+	cfg := baseCfg(2)
+	cfg.MaxOutstanding = 1
+	n := newEchoNet(t, cfg, gen, 5*sim.Nanosecond)
+	var waits []sim.Time
+	n.port.SetInjectHook(func(pk *packet.Packet, wait sim.Time) {
 		if pk.Kind != packet.ReadReq {
 			t.Errorf("unexpected kind %v", pk.Kind)
 		}
-	}
-	n := newEchoNet(t, cfg, gen, 5*sim.Nanosecond)
+		if pk.Injected != n.eng.Now() {
+			t.Errorf("hook at %v for a packet injected at %v", n.eng.Now(), pk.Injected)
+		}
+		waits = append(waits, wait)
+	})
 	n.eng.Run()
-	if count != 1 {
-		t.Fatalf("OnInject fired %d times", count)
+	if len(waits) != 2 {
+		t.Fatalf("inject hook fired %d times, want 2", len(waits))
+	}
+	if waits[0] != 0 || waits[1] <= 0 {
+		t.Fatalf("window waits %v: want 0 for the first read and > 0 for the one behind it", waits)
 	}
 }

@@ -227,6 +227,10 @@ func (d *Direction) SetOnShip(fn func(p *packet.Packet, enq, pop, start, end sim
 // SerDes reports the direction's fixed per-traversal SerDes latency.
 func (d *Direction) SerDes() sim.Time { return d.cfg.SerDesLatency }
 
+// BufferDepth reports the per-VC receiver buffer depth the direction's
+// credits track (Config.Credits): the depth of the buffer it delivers to.
+func (d *Direction) BufferDepth() int { return d.cfg.Credits }
+
 // AttachFault arms CRC-failure injection on this direction. Call before
 // traffic flows; a nil model leaves the direction fault-free.
 func (d *Direction) AttachFault(f *fault.LinkFault) { d.flt = f }

@@ -583,13 +583,23 @@ func (s *Spec) idOf(name string) (int, bool) {
 func (s *Spec) NodeID(name string) (int, bool) { return s.idOf(name) }
 
 // RouterOf returns the router override for the graph node with the
-// given ID, if any.
+// given ID, if any. A nil spec (a compiled-in topology) has none.
 func (s *Spec) RouterOf(id int) (Router, bool) {
-	if id < 1 || id > len(s.Nodes) {
+	if s == nil || id < 1 || id > len(s.Nodes) {
 		return Router{}, false
 	}
 	r, ok := s.Routers[s.Nodes[id-1].Name]
 	return r, ok
+}
+
+// LinkOf returns link ei's declaration, whose optional fields are its
+// per-link overrides. A nil spec (a compiled-in topology) overrides
+// nothing: every link gets the zero Link.
+func (s *Spec) LinkOf(ei int) Link {
+	if s == nil {
+		return Link{}
+	}
+	return s.Links[ei]
 }
 
 // Clone returns a deep copy of the spec.

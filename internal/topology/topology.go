@@ -17,6 +17,7 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"memnet/internal/config"
 	"memnet/internal/packet"
@@ -658,21 +659,35 @@ func (g *Graph) Enable(edges []int, nodes []packet.NodeID) (*Graph, error) {
 	return ng, nil
 }
 
-// RemoveEdge returns a copy of the graph with edge ei failed (removed)
-// and routes recomputed. It errors if the network would disconnect —
-// chains and trees have no redundancy; rings, skip lists, and meshes
-// reroute.
-func (g *Graph) RemoveEdge(ei int) (*Graph, error) {
-	if ei < 0 || ei >= len(g.Edges) {
-		return nil, fmt.Errorf("topology: no edge %d", ei)
+// RemoveEdge returns a copy of the graph with the listed edges failed
+// (removed) and routes recomputed once. The surviving edges keep their
+// order, so the result does not depend on the order of eis, and an edge
+// listed twice is removed once. It errors on an index out of range or
+// if the network would disconnect — chains and trees have no
+// redundancy; rings, skip lists, and meshes reroute.
+func (g *Graph) RemoveEdge(eis ...int) (*Graph, error) {
+	drop := make([]bool, len(g.Edges))
+	for _, ei := range eis {
+		if ei < 0 || ei >= len(g.Edges) {
+			return nil, fmt.Errorf("topology: no edge %d", ei)
+		}
+		drop[ei] = true
 	}
-	ng := &Graph{Kind: g.Kind}
-	ng.Nodes = append([]Node(nil), g.Nodes...)
-	ng.Edges = append([]Edge(nil), g.Edges[:ei]...)
-	ng.Edges = append(ng.Edges, g.Edges[ei+1:]...)
+	ng := &Graph{Kind: g.Kind, Nodes: append([]Node(nil), g.Nodes...)}
+	for ei, e := range g.Edges {
+		if !drop[ei] {
+			ng.Edges = append(ng.Edges, e)
+		}
+	}
 	if err := ng.rebuild(); err != nil {
-		return nil, fmt.Errorf("topology: removing link %d-%d disconnects the network: %w",
-			g.Edges[ei].A, g.Edges[ei].B, err)
+		var cut []string
+		for ei, e := range g.Edges {
+			if drop[ei] {
+				cut = append(cut, fmt.Sprintf("%d (%d-%d)", ei, e.A, e.B))
+			}
+		}
+		return nil, fmt.Errorf("topology: removing link %s disconnects the network: %w",
+			strings.Join(cut, ", "), err)
 	}
 	return ng, nil
 }

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -448,5 +450,50 @@ func TestMetaCubeGroupOption(t *testing.T) {
 	}
 	if _, err := Build(MetaCube, dram(8), WithMetaCubeGroup(0)); err == nil {
 		t.Fatal("zero group must fail")
+	}
+}
+
+// TestRemoveEdgeList: removing a list of edges in one call equals
+// removing them one at a time, highest index first, whatever the list
+// order; a repeated index removes its edge once, and an index out of
+// range is an error.
+func TestRemoveEdgeList(t *testing.T) {
+	g, err := Build(Mesh, dram(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := g.RemoveEdge(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq, err = seq.RemoveEdge(2); err != nil {
+		t.Fatal(err)
+	}
+	for _, list := range [][]int{{5, 2}, {2, 5}, {2, 5, 2}} {
+		one, err := g.RemoveEdge(list...)
+		if err != nil {
+			t.Fatalf("%v: %v", list, err)
+		}
+		if !reflect.DeepEqual(one.Edges, seq.Edges) {
+			t.Errorf("%v: edges %v, want %v", list, one.Edges, seq.Edges)
+		}
+		for _, class := range []PathClass{PathShort, PathLong} {
+			for a := range g.Nodes {
+				for b := range g.Nodes {
+					x, y := packet.NodeID(a), packet.NodeID(b)
+					if one.NextPort(class, x, y) != seq.NextPort(class, x, y) || one.Dist(class, x, y) != seq.Dist(class, x, y) {
+						t.Fatalf("%v: class %d route %d->%d differs from one-at-a-time removal", list, class, a, b)
+					}
+				}
+			}
+		}
+	}
+	if len(g.Edges) != 25 {
+		t.Fatalf("RemoveEdge modified its receiver: %d edges", len(g.Edges))
+	}
+	for _, bad := range []int{-1, 25} {
+		if _, err := g.RemoveEdge(1, bad); err == nil || err.Error() != fmt.Sprintf("topology: no edge %d", bad) {
+			t.Errorf("RemoveEdge(1, %d) error %v", bad, err)
+		}
 	}
 }

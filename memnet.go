@@ -27,6 +27,7 @@ package memnet
 
 import (
 	"fmt"
+	"strings"
 
 	"memnet/internal/arb"
 	"memnet/internal/campaign"
@@ -61,6 +62,24 @@ const (
 
 // Topologies lists all supported topologies.
 var Topologies = topology.Kinds
+
+// ParseTopology resolves a command-line topology label, in any case: a
+// canonical name ("chain" ... "mesh"), the lower-case form of the
+// paper's label letter ("c", "r", "t", "sl", "mc", "m"), or
+// "skip-list". A scenario document's "topology" field accepts only the
+// canonical names.
+func ParseTopology(label string) (Topology, error) {
+	want := strings.ToLower(label)
+	if want == "skip-list" {
+		return SkipList, nil
+	}
+	for _, k := range topology.AllKinds {
+		if want == topology.KindName(k) || want == strings.ToLower(k.Letter()) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown topology %q", label)
+}
 
 // Arbitration selects the router arbitration policy.
 type Arbitration = arb.Kind
@@ -167,32 +186,18 @@ type (
 type ChaosSpec = fault.ChaosSpec
 
 // GenerateChaos builds a validated random kill/repair/flap schedule
-// for the configuration's topology: every killed link keeps the
-// network connected while down, every kill is repaired within the
-// horizon, and the whole schedule passes FaultConfig validation. The
-// same Config and ChaosSpec always produce the same schedule.
+// for the graph the configuration runs on, its FailLinks already cut,
+// so every event addresses an edge of that graph. Every killed link
+// keeps the network connected while down, every kill is repaired
+// within the horizon, and the whole schedule passes FaultConfig
+// validation. The same Config and ChaosSpec always produce the same
+// schedule.
 func GenerateChaos(c Config, spec ChaosSpec) (*FaultConfig, error) {
 	p, err := c.params()
 	if err != nil {
 		return nil, err
 	}
-	var g *topology.Graph
-	if p.Scenario != nil {
-		// Chaos schedules address edges of the declared graph; build it
-		// from a clone so the caller's spec is not normalized in place.
-		g, err = topology.BuildScenario(p.Scenario.Clone())
-	} else {
-		var techs []config.MemTech
-		techs, err = core.TechOrder(&p.Sys)
-		if err != nil {
-			return nil, err
-		}
-		group := p.Tuning.MetaCubeGroup
-		if group == 0 {
-			group = core.DefaultTuning().MetaCubeGroup
-		}
-		g, err = topology.Build(p.Topo, techs, topology.WithMetaCubeGroup(group))
-	}
+	g, err := core.Graph(p)
 	if err != nil {
 		return nil, err
 	}
@@ -268,10 +273,10 @@ var (
 	LoadScenarioFile = scenario.LoadFile
 )
 
-// ExportScenario renders the configuration's compiled-in topology as a
-// scenario document that simulates bit-identically to the original
-// Config (node names host/c1/c2/..., declaration order = build order).
-// Configs that already carry a Scenario are rejected.
+// ExportScenario renders the configuration's compiled-in topology, less
+// any FailLinks, as a scenario document that simulates bit-identically
+// to the original Config (node names host/c1/c2/..., declaration order
+// = build order). Configs that already carry a Scenario are rejected.
 func ExportScenario(c Config, name string) (*Scenario, error) {
 	if c.Scenario != nil {
 		return nil, fmt.Errorf("memnet: ExportScenario of a scenario-backed config")
@@ -280,15 +285,7 @@ func ExportScenario(c Config, name string) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	techs, err := core.TechOrder(&p.Sys)
-	if err != nil {
-		return nil, err
-	}
-	group := p.Tuning.MetaCubeGroup
-	if group == 0 {
-		group = core.DefaultTuning().MetaCubeGroup
-	}
-	g, err := topology.Build(p.Topo, techs, topology.WithMetaCubeGroup(group))
+	g, err := core.Graph(p)
 	if err != nil {
 		return nil, err
 	}
@@ -333,7 +330,8 @@ type Config struct {
 	// KeepSamples retains per-transaction latencies for percentiles.
 	KeepSamples bool
 	// FailLinks fails the listed topology edges before the run (RAS
-	// experiment); building fails if the network would disconnect.
+	// experiment); each must exist and be listed once, and building
+	// fails if the network would disconnect.
 	FailLinks []int
 	// Fault, when non-nil and non-zero, enables mid-run fault injection
 	// (link errors with retry, lane degradation, link/cube kills) and

@@ -1,7 +1,9 @@
 package memnet
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -193,6 +195,92 @@ func TestFailLinksPublic(t *testing.T) {
 	cfg.Topology = Chain
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("chain cut must fail")
+	}
+}
+
+// TestGenerateChaosHonorsFailLinks: a chaos schedule for a configuration
+// with FailLinks is generated against the cut graph the run builds, so
+// every scheduled kill names an edge of that graph and every schedule
+// runs. Validated against the uncut graph, the skip list's schedules
+// named edges the cut had shifted or removed.
+func TestGenerateChaosHonorsFailLinks(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Topology = SkipList
+	cfg.Transactions = 1000
+	cfg.FailLinks = []int{2}
+	for seed := uint64(1); seed <= 8; seed++ {
+		fc, err := GenerateChaos(cfg, ChaosSpec{Seed: seed, Horizon: 4 * Microsecond, LinkKills: 3})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		run := cfg
+		run.Fault = fc
+		in, err := Build(run)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, k := range fc.KillLinks {
+			if k.Edge < 0 || k.Edge >= len(in.Graph.Edges) {
+				t.Fatalf("seed %d: kill of edge %d, the run's graph has %d", seed, k.Edge, len(in.Graph.Edges))
+			}
+		}
+		res, err := in.Run()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res.Fault.LinksKilled != uint64(len(fc.KillLinks)) {
+			t.Fatalf("seed %d: %d of %d scheduled kills applied", seed, res.Fault.LinksKilled, len(fc.KillLinks))
+		}
+	}
+}
+
+// TestNegativeMetaCubeGroupRejected: every path from a Config to its
+// graph applies the one MetaCubeGroup rule and rejects a negative group.
+func TestNegativeMetaCubeGroupRejected(t *testing.T) {
+	tn := DefaultTuning()
+	tn.MetaCubeGroup = -1
+	for _, topo := range []Topology{MetaCube, Ring} {
+		cfg := DefaultConfig()
+		cfg.Topology = topo
+		cfg.Transactions = 500
+		cfg.Tuning = &tn
+		_, runErr := Run(cfg)
+		_, chaosErr := GenerateChaos(cfg, ChaosSpec{Seed: 1, Horizon: Microsecond, CubeKills: 1})
+		_, exportErr := ExportScenario(cfg, "")
+		for name, err := range map[string]error{"Run": runErr, "GenerateChaos": chaosErr, "ExportScenario": exportErr} {
+			if err == nil || !strings.Contains(err.Error(), "MetaCubeGroup: negative group -1") {
+				t.Errorf("%v: %s error %v, want a negative MetaCubeGroup rejection", topo, name, err)
+			}
+		}
+	}
+}
+
+// TestParseTopologyLabels walks every label the mnsim and mnsweep
+// -topology flags have accepted, in several cases, and near misses
+// they have rejected.
+func TestParseTopologyLabels(t *testing.T) {
+	accept := map[string]Topology{
+		"chain": Chain, "c": Chain,
+		"ring": Ring, "r": Ring,
+		"tree": Tree, "t": Tree,
+		"skiplist": SkipList, "skip-list": SkipList, "sl": SkipList,
+		"metacube": MetaCube, "mc": MetaCube,
+		"mesh": Mesh, "m": Mesh,
+	}
+	for label, want := range accept {
+		for _, l := range []string{label, strings.ToUpper(label), strings.ToUpper(label[:1]) + label[1:]} {
+			got, err := ParseTopology(l)
+			if err != nil || got != want {
+				t.Errorf("ParseTopology(%q) = %v, %v; want %v", l, got, err, want)
+			}
+		}
+	}
+	for _, l := range []string{"", "scenario", "sc", "skip_list", "skip list", "meta-cube", "chains", "x", " ring"} {
+		if k, err := ParseTopology(l); err == nil {
+			t.Errorf("ParseTopology(%q) = %v, want an error", l, k)
+		} else if err.Error() != fmt.Sprintf("unknown topology %q", l) {
+			t.Errorf("ParseTopology(%q) error %q", l, err)
+		}
 	}
 }
 

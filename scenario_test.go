@@ -103,6 +103,38 @@ func TestScenarioExportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScenarioExportFailLinks: a configuration's export carries its
+// FailLinks cut, so the exported document simulates exactly like the
+// cut configuration.
+func TestScenarioExportFailLinks(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Topology = SkipList
+	cfg.Transactions = 2000
+	cfg.FailLinks = []int{2}
+	direct, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ExportScenario(cfg, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := DecodeScenario(spec.Canonical())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := cfg
+	sc.FailLinks = nil
+	sc.Scenario = reloaded
+	via, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(direct, via) {
+		t.Errorf("FailLinks export differs:\ndirect: %+v\nvia:    %+v", direct, via)
+	}
+}
+
 // TestScenarioRunCached proves the cache-hit property: a re-loaded
 // scenario document is served from the result cache without simulating.
 func TestScenarioRunCached(t *testing.T) {
