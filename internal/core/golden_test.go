@@ -161,3 +161,80 @@ func TestGoldenFailLinks(t *testing.T) {
 		})
 	}
 }
+
+// TestGoldenSchedulePins pins exact fixed-seed Results, the raw event
+// count included, for the router configurations the pre-overhaul pins
+// leave out: the MetaCube's interface-chip switch under both
+// arbitration families, heterogeneous DRAM:NVM mixes (slow NVM
+// quadrants back requests up into the switch), the single-VC ablation
+// (on write-heavy BACKPROP, where it changes the run) and an ideal,
+// unmodelled switch. Any change to the router sweep or the event
+// engine must keep the (time, seq) firing order, and so every field
+// here, exactly. The values were recorded before the router sweep's
+// fast paths (busy-crossbar arm, empty-VC skip, occupied-input scan).
+func TestGoldenSchedulePins(t *testing.T) {
+	noVC := DefaultTuning()
+	noVC.NoVCPriority = true
+	ideal := DefaultTuning()
+	ideal.SwitchBandwidthBps = 0
+	for _, c := range []struct {
+		name   string
+		wl     string
+		topo   topology.Kind
+		arb    arb.Kind
+		dram   float64
+		tuning Tuning
+		want   Results
+	}{
+		{"MetaCube/RoundRobin", "KMEANS", topology.MetaCube, arb.RoundRobin, 1, Tuning{}, Results{Label: "100%-MC", Workload: "KMEANS", FinishTime: 5742601, MeanLatency: 63694,
+			Breakdown:    stats.Breakdown{ToMem: 12267, InMem: 30641, FromMem: 20786},
+			Energy:       energy.Breakdown{NetworkPJ: 2.09856e+07, ReadPJ: 9.824256e+06, WritePJ: 2.463744e+06},
+			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 2.7325, Events: 73106}},
+		{"MetaCube/DistanceAugmented", "KMEANS", topology.MetaCube, arb.DistanceAugmented, 1, Tuning{}, Results{Label: "100%-MC", Workload: "KMEANS", FinishTime: 5742129, MeanLatency: 63160,
+			Breakdown:    stats.Breakdown{ToMem: 12260, InMem: 30899, FromMem: 20001},
+			Energy:       energy.Breakdown{NetworkPJ: 2.09856e+07, ReadPJ: 9.824256e+06, WritePJ: 2.463744e+06},
+			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 2.7325, Events: 73121}},
+		{"MetaCube/NVM50", "KMEANS", topology.MetaCube, arb.Distance, 0.5, Tuning{}, Results{Label: "50%-MC (NVM-L)", Workload: "KMEANS", FinishTime: 6954184, MeanLatency: 82299,
+			Breakdown:    stats.Breakdown{ToMem: 12797, InMem: 50857, FromMem: 18645},
+			Energy:       energy.Breakdown{NetworkPJ: 2.09856e+07, ReadPJ: 9.824256e+06, WritePJ: 1.2969984e+07},
+			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 2.7325, Events: 73181}},
+		{"Tree/NVM50", "KMEANS", topology.Tree, arb.DistanceAugmented, 0.5, Tuning{}, Results{Label: "50%-T (NVM-L)", Workload: "KMEANS", FinishTime: 7350723, MeanLatency: 91869,
+			Breakdown:    stats.Breakdown{ToMem: 21763, InMem: 51967, FromMem: 18139},
+			Energy:       energy.Breakdown{NetworkPJ: 2.049024e+07, ReadPJ: 9.824256e+06, WritePJ: 1.2969984e+07},
+			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 2.668, Events: 71852}},
+		{"SkipList/NoVCPriority", "BACKPROP", topology.SkipList, arb.RoundRobin, 1, noVC, Results{Label: "100%-SL", Workload: "BACKPROP", FinishTime: 5926728, MeanLatency: 86114,
+			Breakdown:    stats.Breakdown{ToMem: 46781, InMem: 27433, FromMem: 11900},
+			Energy:       energy.Breakdown{NetworkPJ: 4.866176e+07, ReadPJ: 2.562048e+06, WritePJ: 9.725952e+06},
+			Transactions: 2000, Reads: 417, Writes: 1583, MeanHops: 3.002, Events: 119581}},
+		{"Chain/IdealSwitch", "KMEANS", topology.Chain, arb.DistanceAugmented, 1, ideal, Results{Label: "100%-C", Workload: "KMEANS", FinishTime: 7855680, MeanLatency: 106762,
+			Breakdown:    stats.Breakdown{ToMem: 35667, InMem: 29481, FromMem: 41614},
+			Energy:       energy.Breakdown{NetworkPJ: 6.185472e+07, ReadPJ: 9.824256e+06, WritePJ: 2.463744e+06},
+			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 8.054, Events: 146929}},
+	} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			wl, err := workload.ByName(c.wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := config.Default()
+			sys.DRAMFraction = c.dram
+			res, err := Simulate(Params{
+				Sys:          sys,
+				Topo:         c.topo,
+				Arb:          c.arb,
+				Workload:     wl,
+				Transactions: 2000,
+				Seed:         7,
+				Tuning:       c.tuning,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, c.want) {
+				t.Errorf("fixed-seed results drifted\n got: %+v\nwant: %+v", res, c.want)
+			}
+		})
+	}
+}

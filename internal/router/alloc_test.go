@@ -78,3 +78,20 @@ func TestAllocFreeGrant(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocFreeSweep extends the gate to the sweeps that forward
+// nothing: after warm-up, a sweep that finds every input empty and one
+// that starts with the crossbar busy allocate nothing.
+func TestAllocFreeSweep(t *testing.T) {
+	for _, kind := range []string{"empty", "busy"} {
+		for _, ports := range []int{4, 8, 16} {
+			t.Run(fmt.Sprintf("%s/p%d", kind, ports), func(t *testing.T) {
+				op := sweepFixture(ports, kind)
+				op()
+				if allocs := testing.AllocsPerRun(1000, op); allocs != 0 {
+					t.Fatalf("%v allocations per %s sweep, want 0", allocs, kind)
+				}
+			})
+		}
+	}
+}
