@@ -26,52 +26,68 @@ import (
 // printing Results for each config below with Transactions: 2000,
 // Seed: 7, workload KMEANS.
 func TestGoldenPreOverhaulEngine(t *testing.T) {
-	golden := map[topology.Kind]Results{
-		topology.Chain: {Label: "100%-C", Workload: "KMEANS", FinishTime: 8230533, MeanLatency: 115888,
+	runGolden(t, []goldenRun{
+		{"Chain", "KMEANS", topology.Chain, arb.RoundRobin, 1, Tuning{}, nil, Results{Label: "100%-C", Workload: "KMEANS", FinishTime: 8230533, MeanLatency: 115888,
 			Breakdown:    stats.Breakdown{ToMem: 44476, InMem: 29362, FromMem: 42050},
 			Energy:       energy.Breakdown{NetworkPJ: 6.185472e+07, ReadPJ: 9.824256e+06, WritePJ: 2.463744e+06},
-			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 8.054, Events: 179253},
-		topology.Ring: {Label: "100%-R", Workload: "KMEANS", FinishTime: 7005209, MeanLatency: 92557,
+			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 8.054, Events: 179253}},
+		{"Ring", "KMEANS", topology.Ring, arb.RoundRobin, 1, Tuning{}, nil, Results{Label: "100%-R", Workload: "KMEANS", FinishTime: 7005209, MeanLatency: 92557,
 			Breakdown:    stats.Breakdown{ToMem: 33675, InMem: 30325, FromMem: 28557},
 			Energy:       energy.Breakdown{NetworkPJ: 3.833088e+07, ReadPJ: 9.824256e+06, WritePJ: 2.463744e+06},
-			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 4.991, Events: 118207},
-		topology.Tree: {Label: "100%-T", Workload: "KMEANS", FinishTime: 6312065, MeanLatency: 78689,
+			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 4.991, Events: 118207}},
+		{"Tree", "KMEANS", topology.Tree, arb.RoundRobin, 1, Tuning{}, nil, Results{Label: "100%-T", Workload: "KMEANS", FinishTime: 6312065, MeanLatency: 78689,
 			Breakdown:    stats.Breakdown{ToMem: 25754, InMem: 30654, FromMem: 22281},
 			Energy:       energy.Breakdown{NetworkPJ: 2.166912e+07, ReadPJ: 9.824256e+06, WritePJ: 2.463744e+06},
-			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 2.8215, Events: 74880},
-		topology.SkipList: {Label: "100%-SL", Workload: "KMEANS", FinishTime: 6566265, MeanLatency: 82851,
+			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 2.8215, Events: 74880}},
+		{"SkipList", "KMEANS", topology.SkipList, arb.RoundRobin, 1, Tuning{}, nil, Results{Label: "100%-SL", Workload: "KMEANS", FinishTime: 6566265, MeanLatency: 82851,
 			Breakdown:    stats.Breakdown{ToMem: 30917, InMem: 28895, FromMem: 23039},
 			Energy:       energy.Breakdown{NetworkPJ: 2.986944e+07, ReadPJ: 9.824256e+06, WritePJ: 2.463744e+06},
-			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 3.0155, Events: 89209},
-	}
+			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 3.0155, Events: 89209}},
+	})
+}
 
-	var wl workload.Spec
-	for _, s := range workload.Suite() {
-		if s.Name == "KMEANS" {
-			wl = s
-		}
-	}
-	if wl.Name == "" {
-		t.Fatal("KMEANS workload missing from suite")
-	}
-	for _, k := range []topology.Kind{topology.Chain, topology.Ring, topology.Tree, topology.SkipList} {
-		k := k
-		t.Run(k.String(), func(t *testing.T) {
+// goldenRun is one row of a golden table: a fixed-seed configuration
+// (2000 transactions, seed 7) and its exact Results. dram is the DRAM
+// fraction of the memory mix; fail lists build-time link cuts.
+type goldenRun struct {
+	name   string
+	wl     string
+	topo   topology.Kind
+	arb    arb.Kind
+	dram   float64
+	tuning Tuning
+	fail   []int
+	want   Results
+}
+
+// runGolden simulates every row as a parallel subtest and requires its
+// Results, field for field.
+func runGolden(t *testing.T, runs []goldenRun) {
+	for _, c := range runs {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
+			wl, err := workload.ByName(c.wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := config.Default()
+			sys.DRAMFraction = c.dram
 			res, err := Simulate(Params{
-				Sys:          config.Default(),
-				Topo:         k,
-				Arb:          arb.RoundRobin,
+				Sys:          sys,
+				Topo:         c.topo,
+				Arb:          c.arb,
 				Workload:     wl,
 				Transactions: 2000,
 				Seed:         7,
+				Tuning:       c.tuning,
+				FailLinks:    c.fail,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := golden[k]
-			if !reflect.DeepEqual(res, want) {
-				t.Errorf("fixed-seed results drifted from the pre-refactor engine\n got: %+v\nwant: %+v", res, want)
+			if !reflect.DeepEqual(res, c.want) {
+				t.Errorf("fixed-seed results drifted\n got: %+v\nwant: %+v", res, c.want)
 			}
 		})
 	}
@@ -117,49 +133,20 @@ func TestGoldenRunTwice(t *testing.T) {
 // listed out of order. The values were recorded before FailLinks became
 // one validated edge-list removal, which must reproduce them exactly.
 func TestGoldenFailLinks(t *testing.T) {
-	wl, err := workload.ByName("KMEANS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		topo topology.Kind
-		arb  arb.Kind
-		fail []int
-		want Results
-	}{
-		{topology.Ring, arb.RoundRobin, []int{1}, Results{Label: "100%-R", Workload: "KMEANS", FinishTime: 8437139, MeanLatency: 126261,
+	runGolden(t, []goldenRun{
+		{"Ring", "KMEANS", topology.Ring, arb.RoundRobin, 1, Tuning{}, []int{1}, Results{Label: "100%-R", Workload: "KMEANS", FinishTime: 8437139, MeanLatency: 126261,
 			Breakdown:    stats.Breakdown{ToMem: 49630, InMem: 28852, FromMem: 47779},
 			Energy:       energy.Breakdown{NetworkPJ: 6.845952e+07, ReadPJ: 9.824256e+06, WritePJ: 2.463744e+06},
 			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 8.914, Events: 196438}},
-		{topology.SkipList, arb.DistanceAugmented, []int{2}, Results{Label: "100%-SL", Workload: "KMEANS", FinishTime: 6549896, MeanLatency: 81240,
+		{"SkipList", "KMEANS", topology.SkipList, arb.DistanceAugmented, 1, Tuning{}, []int{2}, Results{Label: "100%-SL", Workload: "KMEANS", FinishTime: 6549896, MeanLatency: 81240,
 			Breakdown:    stats.Breakdown{ToMem: 26990, InMem: 30626, FromMem: 23624},
 			Energy:       energy.Breakdown{NetworkPJ: 2.486784e+07, ReadPJ: 9.824256e+06, WritePJ: 2.463744e+06},
 			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 3.078, Events: 81871}},
-		{topology.Mesh, arb.Distance, []int{5, 2}, Results{Label: "100%-M", Workload: "KMEANS", FinishTime: 6838503, MeanLatency: 90587,
+		{"Mesh", "KMEANS", topology.Mesh, arb.Distance, 1, Tuning{}, []int{5, 2}, Results{Label: "100%-M", Workload: "KMEANS", FinishTime: 6838503, MeanLatency: 90587,
 			Breakdown:    stats.Breakdown{ToMem: 33175, InMem: 31127, FromMem: 26285},
 			Energy:       energy.Breakdown{NetworkPJ: 3.37344e+07, ReadPJ: 9.824256e+06, WritePJ: 2.463744e+06},
 			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 4.3925, Events: 106203}},
-	} {
-		c := c
-		t.Run(c.topo.String(), func(t *testing.T) {
-			t.Parallel()
-			res, err := Simulate(Params{
-				Sys:          config.Default(),
-				Topo:         c.topo,
-				Arb:          c.arb,
-				Workload:     wl,
-				Transactions: 2000,
-				Seed:         7,
-				FailLinks:    c.fail,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(res, c.want) {
-				t.Errorf("FailLinks %v results drifted\n got: %+v\nwant: %+v", c.fail, res, c.want)
-			}
-		})
-	}
+	})
 }
 
 // TestGoldenSchedulePins pins exact fixed-seed Results, the raw event
@@ -170,71 +157,37 @@ func TestGoldenFailLinks(t *testing.T) {
 // (on write-heavy BACKPROP, where it changes the run) and an ideal,
 // unmodelled switch. Any change to the router sweep or the event
 // engine must keep the (time, seq) firing order, and so every field
-// here, exactly. The values were recorded before the router sweep's
-// fast paths (busy-crossbar arm, empty-VC skip, occupied-input scan).
+// here, exactly. The values were recorded before the router sweep
+// learned to skip an empty VC.
 func TestGoldenSchedulePins(t *testing.T) {
 	noVC := DefaultTuning()
 	noVC.NoVCPriority = true
 	ideal := DefaultTuning()
 	ideal.SwitchBandwidthBps = 0
-	for _, c := range []struct {
-		name   string
-		wl     string
-		topo   topology.Kind
-		arb    arb.Kind
-		dram   float64
-		tuning Tuning
-		want   Results
-	}{
-		{"MetaCube/RoundRobin", "KMEANS", topology.MetaCube, arb.RoundRobin, 1, Tuning{}, Results{Label: "100%-MC", Workload: "KMEANS", FinishTime: 5742601, MeanLatency: 63694,
+	runGolden(t, []goldenRun{
+		{"MetaCube/RoundRobin", "KMEANS", topology.MetaCube, arb.RoundRobin, 1, Tuning{}, nil, Results{Label: "100%-MC", Workload: "KMEANS", FinishTime: 5742601, MeanLatency: 63694,
 			Breakdown:    stats.Breakdown{ToMem: 12267, InMem: 30641, FromMem: 20786},
 			Energy:       energy.Breakdown{NetworkPJ: 2.09856e+07, ReadPJ: 9.824256e+06, WritePJ: 2.463744e+06},
 			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 2.7325, Events: 73106}},
-		{"MetaCube/DistanceAugmented", "KMEANS", topology.MetaCube, arb.DistanceAugmented, 1, Tuning{}, Results{Label: "100%-MC", Workload: "KMEANS", FinishTime: 5742129, MeanLatency: 63160,
+		{"MetaCube/DistanceAugmented", "KMEANS", topology.MetaCube, arb.DistanceAugmented, 1, Tuning{}, nil, Results{Label: "100%-MC", Workload: "KMEANS", FinishTime: 5742129, MeanLatency: 63160,
 			Breakdown:    stats.Breakdown{ToMem: 12260, InMem: 30899, FromMem: 20001},
 			Energy:       energy.Breakdown{NetworkPJ: 2.09856e+07, ReadPJ: 9.824256e+06, WritePJ: 2.463744e+06},
 			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 2.7325, Events: 73121}},
-		{"MetaCube/NVM50", "KMEANS", topology.MetaCube, arb.Distance, 0.5, Tuning{}, Results{Label: "50%-MC (NVM-L)", Workload: "KMEANS", FinishTime: 6954184, MeanLatency: 82299,
+		{"MetaCube/NVM50", "KMEANS", topology.MetaCube, arb.Distance, 0.5, Tuning{}, nil, Results{Label: "50%-MC (NVM-L)", Workload: "KMEANS", FinishTime: 6954184, MeanLatency: 82299,
 			Breakdown:    stats.Breakdown{ToMem: 12797, InMem: 50857, FromMem: 18645},
 			Energy:       energy.Breakdown{NetworkPJ: 2.09856e+07, ReadPJ: 9.824256e+06, WritePJ: 1.2969984e+07},
 			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 2.7325, Events: 73181}},
-		{"Tree/NVM50", "KMEANS", topology.Tree, arb.DistanceAugmented, 0.5, Tuning{}, Results{Label: "50%-T (NVM-L)", Workload: "KMEANS", FinishTime: 7350723, MeanLatency: 91869,
+		{"Tree/NVM50", "KMEANS", topology.Tree, arb.DistanceAugmented, 0.5, Tuning{}, nil, Results{Label: "50%-T (NVM-L)", Workload: "KMEANS", FinishTime: 7350723, MeanLatency: 91869,
 			Breakdown:    stats.Breakdown{ToMem: 21763, InMem: 51967, FromMem: 18139},
 			Energy:       energy.Breakdown{NetworkPJ: 2.049024e+07, ReadPJ: 9.824256e+06, WritePJ: 1.2969984e+07},
 			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 2.668, Events: 71852}},
-		{"SkipList/NoVCPriority", "BACKPROP", topology.SkipList, arb.RoundRobin, 1, noVC, Results{Label: "100%-SL", Workload: "BACKPROP", FinishTime: 5926728, MeanLatency: 86114,
+		{"SkipList/NoVCPriority", "BACKPROP", topology.SkipList, arb.RoundRobin, 1, noVC, nil, Results{Label: "100%-SL", Workload: "BACKPROP", FinishTime: 5926728, MeanLatency: 86114,
 			Breakdown:    stats.Breakdown{ToMem: 46781, InMem: 27433, FromMem: 11900},
 			Energy:       energy.Breakdown{NetworkPJ: 4.866176e+07, ReadPJ: 2.562048e+06, WritePJ: 9.725952e+06},
 			Transactions: 2000, Reads: 417, Writes: 1583, MeanHops: 3.002, Events: 119581}},
-		{"Chain/IdealSwitch", "KMEANS", topology.Chain, arb.DistanceAugmented, 1, ideal, Results{Label: "100%-C", Workload: "KMEANS", FinishTime: 7855680, MeanLatency: 106762,
+		{"Chain/IdealSwitch", "KMEANS", topology.Chain, arb.DistanceAugmented, 1, ideal, nil, Results{Label: "100%-C", Workload: "KMEANS", FinishTime: 7855680, MeanLatency: 106762,
 			Breakdown:    stats.Breakdown{ToMem: 35667, InMem: 29481, FromMem: 41614},
 			Energy:       energy.Breakdown{NetworkPJ: 6.185472e+07, ReadPJ: 9.824256e+06, WritePJ: 2.463744e+06},
 			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 8.054, Events: 146929}},
-	} {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			t.Parallel()
-			wl, err := workload.ByName(c.wl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sys := config.Default()
-			sys.DRAMFraction = c.dram
-			res, err := Simulate(Params{
-				Sys:          sys,
-				Topo:         c.topo,
-				Arb:          c.arb,
-				Workload:     wl,
-				Transactions: 2000,
-				Seed:         7,
-				Tuning:       c.tuning,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(res, c.want) {
-				t.Errorf("fixed-seed results drifted\n got: %+v\nwant: %+v", res, c.want)
-			}
-		})
-	}
+	})
 }

@@ -18,10 +18,6 @@ type Buffer struct {
 	// Section 3.2 analysis found "highly unbalanced" across ports.
 	waitTotal sim.Time
 	popped    uint64
-	// occ, when non-nil, is the owner's occupancy bitset; bit occBit of
-	// each VC mirrors whether that FIFO is non-empty.
-	occ    *Occupancy
-	occBit int
 }
 
 type arrival struct {
@@ -48,9 +44,6 @@ func (b *Buffer) Push(p *packet.Packet, now sim.Time) {
 	vc := packet.VCOf(p.Kind)
 	if b.fifo[vc].full() {
 		panic(fmt.Sprintf("link: input buffer overflow on %v for %v", vc, p))
-	}
-	if b.occ != nil && b.fifo[vc].len() == 0 {
-		b.mark(vc, true)
 	}
 	b.fifo[vc].push(arrival{p: p, at: now})
 }
@@ -83,9 +76,6 @@ func (b *Buffer) Pop(vc packet.VC, now sim.Time) *packet.Packet {
 		panic("link: pop from empty input buffer")
 	}
 	a := b.fifo[vc].pop()
-	if b.occ != nil && b.fifo[vc].len() == 0 {
-		b.mark(vc, false)
-	}
 	b.waitTotal += now - a.at
 	b.popped++
 	if b.credit != nil {
@@ -104,53 +94,3 @@ func (b *Buffer) MeanWait() sim.Time {
 
 // TotalWait reports accumulated input-buffer residency.
 func (b *Buffer) TotalWait() sim.Time { return b.waitTotal }
-
-// Occupancy is a per-VC bitset over a set of buffers: bit i of vc is
-// set while tracked buffer i holds a vc packet. The buffers keep it
-// current on every Push and Pop, whoever calls them, so a router can
-// visit only the inputs that hold work. Word w of vc is element
-// w*NumVCs+vc.
-type Occupancy []uint64
-
-// numVCs is packet.NumVCs as an index stride.
-const numVCs = int(packet.NumVCs)
-
-// Words reports how many 64-buffer words each VC spans.
-func (o Occupancy) Words() int { return len(o) / numVCs }
-
-// Word returns bits 64w..64w+63 of vc.
-func (o Occupancy) Word(vc packet.VC, w int) uint64 { return o[w*numVCs+int(vc)] }
-
-// Any reports whether some tracked buffer holds a vc packet.
-func (o Occupancy) Any(vc packet.VC) bool {
-	for i := int(vc); i < len(o); i += numVCs {
-		if o[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Track makes b maintain bit i of *o, growing *o to cover it. Call
-// once, when the buffer is attached to its owner.
-func (b *Buffer) Track(o *Occupancy, i int) {
-	for o.Words() <= i/64 {
-		*o = append(*o, make([]uint64, numVCs)...)
-	}
-	b.occ, b.occBit = o, i
-	for vc := range b.fifo {
-		if b.fifo[vc].len() > 0 {
-			b.mark(packet.VC(vc), true)
-		}
-	}
-}
-
-// mark sets or clears the buffer's occupancy bit for vc.
-func (b *Buffer) mark(vc packet.VC, full bool) {
-	w := &(*b.occ)[b.occBit/64*numVCs+int(vc)]
-	if full {
-		*w |= 1 << (b.occBit % 64)
-	} else {
-		*w &^= 1 << (b.occBit % 64)
-	}
-}

@@ -1,7 +1,5 @@
 package link
 
-import "math"
-
 // ringFirst bounds the first allocation of a ring. Every depth the
 // simulator configures (link and vault buffers of a few packets) fits,
 // so those rings allocate exactly once, at full depth; only an
@@ -17,31 +15,25 @@ const ringFirst = 64
 // overflow in their own terms) before pushing.
 type ring[T any] struct {
 	buf   []T
-	head  int32
-	n     int32
-	depth int32
+	head  int
+	n     int
+	depth int
 }
 
-// newRing returns an empty ring of the given depth. Positions are
-// int32 to keep the ring, and every buffer and queue built from it,
-// small; a depth past math.MaxInt32 is clamped, as no ring could hold
-// that many entries anyway.
-func newRing[T any](depth int) ring[T] {
-	return ring[T]{depth: int32(min(depth, math.MaxInt32))}
-}
+func newRing[T any](depth int) ring[T] { return ring[T]{depth: depth} }
 
 // len reports the occupancy.
-func (r *ring[T]) len() int { return int(r.n) }
+func (r *ring[T]) len() int { return r.n }
 
 // full reports whether the ring holds depth entries.
 func (r *ring[T]) full() bool { return r.n >= r.depth }
 
 // push appends v at the tail. The caller has checked full.
 func (r *ring[T]) push(v T) {
-	if int(r.n) == len(r.buf) {
+	if r.n == len(r.buf) {
 		r.grow()
 	}
-	i := int(r.head + r.n)
+	i := r.head + r.n
 	if i >= len(r.buf) {
 		i -= len(r.buf)
 	}
@@ -52,7 +44,7 @@ func (r *ring[T]) push(v T) {
 // grow re-allocates the backing array, doubling it up to depth, and
 // unwraps the live entries to its front.
 func (r *ring[T]) grow() {
-	buf := make([]T, min(max(2*len(r.buf), ringFirst), int(r.depth)))
+	buf := make([]T, min(max(2*len(r.buf), ringFirst), r.depth))
 	k := copy(buf, r.buf[r.head:])
 	copy(buf[k:], r.buf[:r.head])
 	r.buf, r.head = buf, 0
@@ -67,7 +59,7 @@ func (r *ring[T]) pop() T {
 	var zero T
 	r.buf[r.head] = zero
 	r.head++
-	if int(r.head) == len(r.buf) {
+	if r.head == len(r.buf) {
 		r.head = 0
 	}
 	r.n--

@@ -48,19 +48,13 @@ type Router struct {
 
 	in  []*link.Buffer
 	out []*link.Direction
-	// occ marks, per VC, the inputs whose buffer holds a packet; the
-	// buffers keep it current (link.Buffer.Track). occ64 backs it up to
-	// 64 ports, so attaching a port allocates nothing.
-	occ   link.Occupancy
-	occ64 [packet.NumVCs]uint64
 
-	crossbar     sim.Resource
-	switchBps    int64
-	retryArmed   bool
+	crossbar   sim.Resource
+	switchBps  int64
+	retryArmed bool
+	sweepStart int
+
 	sweepPending bool
-	scanned      bool // of the route memo below; packed with the flags
-	sweepStart   int
-
 	// sweepFn and retryFn are bound once at construction; Kick and
 	// armRetry fire constantly on the forwarding path, and a pre-built
 	// handler keeps each of those schedules allocation-free.
@@ -79,11 +73,12 @@ type Router struct {
 	// since the last scan, or -1) is re-evaluated. cands is the
 	// candidate list handed to the arbiter. All are sized once, on the
 	// first sweep, so forwarding never allocates.
-	heads  []*packet.Packet
-	bucket []uint64
-	words  int
-	stale  int
-	cands  []int
+	heads   []*packet.Packet
+	bucket  []uint64
+	words   int
+	scanned bool
+	stale   int
+	cands   []int
 
 	// Forwarded counts packets moved input->output, per VC.
 	Forwarded [packet.NumVCs]uint64
@@ -112,7 +107,6 @@ type Router struct {
 // (0 disables crossbar modeling, giving an ideal switch).
 func New(eng *sim.Engine, node packet.NodeID, policy arb.Policy, switchBps int64) *Router {
 	r := &Router{eng: eng, node: node, policy: policy, switchBps: switchBps}
-	r.occ = r.occ64[:0]
 	r.sweepFn = func() {
 		r.sweepPending = false
 		r.sweep()
@@ -141,7 +135,6 @@ func (r *Router) AttachPort(in *link.Buffer, out *link.Direction) int {
 	idx := len(r.in)
 	r.in = append(r.in, in)
 	r.out = append(r.out, out)
-	in.Track(&r.occ, idx)
 	out.SetOnSpace(func(packet.VC) { r.Kick() })
 	return idx
 }
@@ -192,11 +185,11 @@ func (r *Router) Kick() {
 // behind responses (§3.2). The output scan order rotates between sweeps
 // so no port is structurally favored within a priority class.
 //
-// A sweep costs what it can move. While the crossbar is busy nothing
-// moves, so a VC only arms the retry at its first accepting output, as
-// drain would. A VC with no queued packet, under an idle or unmodelled
-// crossbar, has nothing to offer any output and is skipped outright.
-// Neither shortcut changes a route call, a grant or an armed retry.
+// A sweep costs what it can move. Under a busy crossbar drain arms the
+// retry at the first output that accepts, before any scan or route
+// call. A VC with no queued packet is skipped, but only while the
+// crossbar is idle or unmodelled: after a response forward the crossbar
+// is busy, and an empty request VC must still arm that retry.
 func (r *Router) sweep() {
 	if r.route == nil {
 		panic(fmt.Sprintf("router %d: no route function", r.node))
@@ -210,15 +203,7 @@ func (r *Router) sweep() {
 		r.cands = make([]int, 0, n)
 	}
 	for _, vc := range [...]packet.VC{packet.VCResponse, packet.VCRequest} {
-		// The crossbar check comes first: after a response forward, an
-		// empty request VC must still arm the retry.
-		if r.crossbarBusy() {
-			if r.retryAtAccepting(vc) {
-				return
-			}
-			continue
-		}
-		if !r.occ.Any(vc) {
+		if !r.crossbarBusy() && !r.queued(vc) {
 			continue
 		}
 		r.scanned = false
@@ -237,14 +222,10 @@ func (r *Router) crossbarBusy() bool {
 	return r.switchBps > 0 && !r.crossbar.Idle(r.eng.Now())
 }
 
-// retryAtAccepting is a sweep of vc under a busy crossbar: it arms the
-// retry at the first output, in this sweep's rotation, that can accept
-// vc, and reports whether it found one.
-func (r *Router) retryAtAccepting(vc packet.VC) bool {
-	n := len(r.out)
-	for k := 0; k < n; k++ {
-		if r.out[(r.sweepStart+k)%n].CanAccept(vc) {
-			r.armRetry()
+// queued reports whether some input holds a vc packet.
+func (r *Router) queued(vc packet.VC) bool {
+	for _, b := range r.in {
+		if b.Len(vc) > 0 {
 			return true
 		}
 	}
@@ -303,17 +284,13 @@ func (r *Router) drain(o int, vc packet.VC) bool {
 // re-homes requests bound for a killed cube (rewriting Dst and counting
 // the bounce) and reads fault state that changes between events.
 // Within one sweep event its answer for a given head is fixed, so each
-// head is evaluated once: every occupied input, in index order, at the
-// VC's first scan, then only the input popped since the previous scan.
-// Inputs holding no vc packet keep a nil head.
+// head is evaluated once: every input at the VC's first scan, then only
+// the input popped since the previous scan.
 func (r *Router) scan(vc packet.VC) {
 	if !r.scanned {
 		clear(r.bucket)
-		clear(r.heads)
-		for w := 0; w < r.occ.Words(); w++ {
-			for bits := r.occ.Word(vc, w); bits != 0; bits &= bits - 1 {
-				r.evaluate(w*64+mathbits.TrailingZeros64(bits), vc)
-			}
+		for i := range r.in {
+			r.evaluate(i, vc)
 		}
 		r.scanned = true
 	} else if r.stale >= 0 {

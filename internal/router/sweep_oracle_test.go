@@ -2,7 +2,6 @@ package router
 
 import (
 	"fmt"
-	mathbits "math/bits"
 	"strings"
 	"testing"
 
@@ -12,12 +11,11 @@ import (
 	"memnet/internal/sim"
 )
 
-// The oracle below is the router sweep as it was before its fast paths
-// (the busy-crossbar arm, the empty-VC skip and the occupied-input
-// scan): every sweep walks both VCs across every output, and a VC's
-// first scan evaluates every input. TestSweepMatchesOracle drives it
-// and the production sweep from identical random router states and
-// requires identical observable effects, sweep for sweep.
+// The oracle below is the router sweep as it was before the empty-VC
+// skip: every sweep walks both VCs across every output through drain.
+// TestSweepMatchesOracle drives it and the production sweep from
+// identical random router states and requires identical observable
+// effects, sweep for sweep.
 
 func (r *Router) oracleSweep() {
 	if r.route == nil {
@@ -34,79 +32,12 @@ func (r *Router) oracleSweep() {
 	for _, vc := range [...]packet.VC{packet.VCResponse, packet.VCRequest} {
 		r.scanned = false
 		for k := 0; k < n; k++ {
-			if !r.oracleDrain((r.sweepStart+k)%n, vc) {
+			if !r.drain((r.sweepStart+k)%n, vc) {
 				return
 			}
 		}
 	}
 	r.sweepStart++
-}
-
-func (r *Router) oracleDrain(o int, vc packet.VC) bool {
-	for r.out[o].CanAccept(vc) {
-		if r.switchBps > 0 && !r.crossbar.Idle(r.eng.Now()) {
-			r.armRetry()
-			return false
-		}
-		r.oracleScan(vc)
-		r.cands = r.cands[:0]
-		for w, bits := range r.bucket[o*r.words : (o+1)*r.words] {
-			for ; bits != 0; bits &= bits - 1 {
-				r.cands = append(r.cands, w*64+mathbits.TrailingZeros64(bits))
-			}
-		}
-		if len(r.cands) == 0 {
-			return true
-		}
-		if len(r.cands) > 1 {
-			r.Contended++
-		}
-		pick := r.policy.Pick(o, vc, r.cands, r.heads)
-		var since sim.Time
-		if r.OnForward != nil {
-			since = r.in[pick].HeadSince(vc)
-		}
-		p := r.in[pick].Pop(vc, r.eng.Now())
-		r.bucket[o*r.words+pick/64] &^= 1 << (pick % 64)
-		r.heads[pick] = nil
-		r.stale = pick
-		r.Forwarded[vc]++
-		if r.GrantCounts != nil {
-			r.GrantCounts[pick]++
-		}
-		if r.OnForward != nil {
-			r.OnForward(p, pick, r.eng.Now()-since)
-		}
-		if r.switchBps > 0 {
-			r.crossbar.Reserve(r.eng.Now(), sim.BitTime(p.Kind.Bits(), r.switchBps))
-		}
-		r.out[o].Send(p)
-	}
-	return true
-}
-
-func (r *Router) oracleScan(vc packet.VC) {
-	if !r.scanned {
-		clear(r.bucket)
-		for i := range r.in {
-			r.oracleEvaluate(i, vc)
-		}
-		r.scanned = true
-	} else if r.stale >= 0 {
-		r.oracleEvaluate(r.stale, vc)
-	}
-	r.stale = -1
-}
-
-func (r *Router) oracleEvaluate(i int, vc packet.VC) {
-	head := r.in[i].Head(vc)
-	r.heads[i] = head
-	if head == nil {
-		return
-	}
-	if o := r.route(head); o >= 0 && o < len(r.out) {
-		r.bucket[o*r.words+i/64] |= 1 << (i % 64)
-	}
 }
 
 // logPolicy records every arbitration call — the output, the VC, the
