@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"memnet"
-	"memnet/internal/obs"
 	"memnet/internal/prof"
 )
 
@@ -58,7 +57,7 @@ func main() {
 		reportJSON = flag.Bool("report-json", false, "print the run record (per-node report, results, config) as manifest-schema JSON")
 		metricsOut = flag.String("metrics-out", "", "write the run manifest JSON (config, seed, metrics, fairness) to this file; enables telemetry (with -shards: the machine manifest with per-port load records)")
 		sampleIv   = flag.Duration("sample-interval", 0, "telemetry gauge-sampling interval in sim time (default 10us); enables telemetry")
-		perfOut    = flag.String("perfetto-out", "", "write packet lifecycles and sampled counters as Perfetto/Chrome trace JSON (implies -trace 4096 unless set); enables telemetry")
+		perfOut    = flag.String("perfetto-out", "", "write packet lifecycles, sampled counters and any -spans-out spans as one Perfetto/Chrome trace JSON (implies -trace 4096 unless set); enables telemetry")
 		seriesOut  = flag.String("series-out", "", "write the sampled gauge time series as CSV; enables telemetry")
 		spansOut   = flag.String("spans-out", "", "write sampled causal spans as NDJSON (memnet/spans/v1) to this file; analyze with mntrace")
 		spanSample = flag.Uint64("span-sample", 0, "span sampling stride: record every Nth transaction (default 32 when -spans-out is set)")
@@ -233,10 +232,6 @@ func main() {
 		fmt.Fprintf(status, "\nlast %d of %d lifecycle events:\n%s",
 			len(in.Trace.Events()), in.Trace.Total(), in.Trace.String())
 	}
-	var sampler *obs.Sampler
-	if in.Telemetry != nil {
-		sampler = in.Telemetry.Sampler
-	}
 	if *metricsOut != "" {
 		f, err := os.Create(*metricsOut)
 		check(err)
@@ -247,6 +242,7 @@ func main() {
 	if *seriesOut != "" {
 		f, err := os.Create(*seriesOut)
 		check(err)
+		sampler := in.Telemetry.Sampler // -series-out arms telemetry
 		check(sampler.WriteCSV(f))
 		check(f.Close())
 		fmt.Fprintf(status, "series        wrote %d samples to %s\n", sampler.Samples(), *seriesOut)
@@ -261,11 +257,7 @@ func main() {
 	if *perfOut != "" {
 		f, err := os.Create(*perfOut)
 		check(err)
-		if in.Spans != nil {
-			check(memnet.WritePerfettoSpans(f, in.Trace, sampler, in.Spans.Spans()))
-		} else {
-			check(memnet.WritePerfetto(f, in.Trace, sampler))
-		}
+		check(in.WritePerfetto(f))
 		check(f.Close())
 		fmt.Fprintf(status, "perfetto      wrote %s (open in https://ui.perfetto.dev)\n", *perfOut)
 	}

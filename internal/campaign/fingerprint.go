@@ -53,10 +53,11 @@ func (f Fingerprint) String() string { return fmt.Sprintf("%016x", uint64(f)) }
 // artifacts — trace replay/record, packet-lifecycle traces, telemetry
 // observers, causal span tracing — are excluded: their Results alone do
 // not capture what the caller asked for (and a replayed trace is not
-// covered by the fingerprint).
+// covered by the fingerprint). The layer tests are the ones Build arms
+// them by, so a disabled telemetry config still caches.
 func Cacheable(p core.Params) bool {
-	return len(p.Replay) == 0 && !p.Record && p.TraceDepth == 0 &&
-		p.Obs == nil && p.Spans == nil
+	return len(p.Replay) == 0 && !p.Record && p.TraceDepth <= 0 &&
+		!p.Obs.On() && !p.Spans.Enabled()
 }
 
 // FingerprintParams computes the content address of one run. Coverage

@@ -8,6 +8,7 @@ import (
 	"memnet/internal/core"
 	"memnet/internal/fault"
 	"memnet/internal/migrate"
+	"memnet/internal/obs"
 	"memnet/internal/scenario"
 	"memnet/internal/sim"
 	"memnet/internal/span"
@@ -185,10 +186,18 @@ func TestCacheable(t *testing.T) {
 	tr.TraceDepth = 8
 	sp := p
 	sp.Spans = &span.Config{SampleStride: 4}
-	for name, q := range map[string]core.Params{"replay": rp, "record": rec, "trace": tr, "spans": sp} {
+	ob := p
+	ob.Obs = &obs.Config{Enabled: true}
+	for name, q := range map[string]core.Params{"replay": rp, "record": rec, "trace": tr, "spans": sp, "telemetry": ob} {
 		if Cacheable(q) {
 			t.Errorf("%s run must not be cacheable", name)
 		}
+	}
+	// A layer config that Build does not arm produces no side artifact.
+	off := p
+	off.Obs = &obs.Config{}
+	if !Cacheable(off) {
+		t.Error("run with disabled telemetry must be cacheable")
 	}
 }
 

@@ -154,7 +154,8 @@ type Params struct {
 	Obs *obs.Config
 	// Spans, when non-nil, arms causal span tracing (internal/span):
 	// one latency-decomposition span tree per sampled transaction,
-	// collected through nil-checked hooks at existing event boundaries.
+	// collected by the run's packet observers at existing event
+	// boundaries.
 	// Like Obs, it never changes what the simulation does: Results are
 	// bit-identical with Spans enabled and disabled.
 	Spans *span.Config
@@ -392,55 +393,6 @@ func Build(p Params) (*Instance, error) {
 	meter := energy.NewMeter(p.Sys.Energy)
 	collector := stats.NewCollector(p.KeepSamples)
 
-	var tlog *trace.Log
-	if p.TraceDepth > 0 {
-		tlog = trace.NewLog(p.TraceDepth)
-	}
-	// tap wraps a deliver callback with trace recording. port is the
-	// receiving component's input index (router port for Arrive/MemDone,
-	// quadrant index for MemStart, -1 at the single-ported host); it is
-	// passed explicitly because the tap fires before the wrapped deliver
-	// stamps pk.EnterPort.
-	tap := func(fn func(*packet.Packet), op trace.Op, node packet.NodeID, port int8) func(*packet.Packet) {
-		if tlog == nil {
-			return fn
-		}
-		return func(pk *packet.Packet) {
-			tlog.Record(trace.Event{
-				At: eng.Now(), Op: op, Node: node,
-				ID: pk.ID, Kind: pk.Kind, Addr: pk.Addr,
-				Port: port, VC: packet.VCOf(pk.Kind),
-			})
-			fn(pk)
-		}
-	}
-
-	// Span recorder and its hook binders. Hooks are bound inline at the
-	// wiring sites below (the tap idiom): each reads timestamps the
-	// components already compute and never schedules events, so Results
-	// stay bit-identical with spans on. spanNode/bindShip build every
-	// edge label once at wiring time; the hot path only copies the
-	// prebuilt string header into segments of sampled transactions.
-	var spans *span.Recorder
-	if p.Spans.Enabled() {
-		spans = span.NewRecorder(*p.Spans, p.Seed)
-	}
-	spanNode := func(n packet.NodeID) string {
-		if n == packet.HostNode {
-			return "h"
-		}
-		return fmt.Sprintf("%d", n)
-	}
-	bindShip := func(d *link.Direction, label string) {
-		if spans == nil {
-			return
-		}
-		serdes := d.SerDes()
-		d.SetOnShip(func(pk *packet.Packet, enq, pop, start, end sim.Time) {
-			spans.Ship(pk, label, serdes, enq, pop, start, end)
-		})
-	}
-
 	inst := &Instance{
 		Params:    p,
 		Eng:       eng,
@@ -557,18 +509,15 @@ func Build(p Params) (*Instance, error) {
 		if n.Kind == topology.Host {
 			continue
 		}
+		if n.Kind == topology.Cube && g.Degree(n.ID)+p.Sys.Quadrants > topology.MaxPorts {
+			return nil, fmt.Errorf("core: cube %d: %d links plus %d quadrants exceed %d router ports",
+				n.ID, g.Degree(n.ID), p.Sys.Quadrants, topology.MaxPorts)
+		}
 		aKind, demotion, xbar, err := routerSettings(&p, n, scen)
 		if err != nil {
 			return nil, err
 		}
-		r := router.New(eng, n.ID, newPolicy(aKind, demotion), xbar)
-		if spans != nil {
-			label := fmt.Sprintf("r%d", n.ID)
-			r.OnForward = func(pk *packet.Packet, port int, wait sim.Time) {
-				spans.Seg(pk, span.RouterArb, label, eng.Now()-wait, wait)
-			}
-		}
-		inst.routers[n.ID] = r
+		inst.routers[n.ID] = router.New(eng, n.ID, newPolicy(aKind, demotion), xbar)
 	}
 
 	// Per-edge link direction pairs, attached in adjacency order so that
@@ -603,11 +552,6 @@ func Build(p Params) (*Instance, error) {
 			dirs[ei].ab.AttachFault(linkFault(inst.faultCfg.LinkFault(ei, 0), over))
 			dirs[ei].ba.AttachFault(linkFault(inst.faultCfg.LinkFault(ei, 1), over))
 		}
-		if spans != nil {
-			la, lb := spanNode(e.A), spanNode(e.B)
-			bindShip(dirs[ei].ab, la+">"+lb)
-			bindShip(dirs[ei].ba, lb+">"+la)
-		}
 	}
 	inst.dirs = dirs
 
@@ -627,7 +571,7 @@ func Build(p Params) (*Instance, error) {
 			}
 			buf := link.NewBuffer(in.BufferDepth(), in.ReturnCredit)
 			idx := r.AttachPort(buf, out)
-			in.SetDeliver(tap(r.Deliver(idx), trace.Arrive, n.ID, int8(idx)))
+			in.SetDeliver(r.Deliver(idx))
 		}
 	}
 
@@ -641,28 +585,11 @@ func Build(p Params) (*Instance, error) {
 		hostOut, hostIn = dirs[hostEdgeIdx].ba, dirs[hostEdgeIdx].ab
 	}
 	hostPort.Attach(hostOut)
-	if spans != nil || tlog != nil {
-		hostPort.SetInjectHook(func(pk *packet.Packet, wait sim.Time) {
-			spans.Start(pk, eng.Now(), wait)
-			if tlog != nil {
-				tlog.Record(trace.Event{
-					At: eng.Now(), Op: trace.Inject, Node: packet.HostNode,
-					ID: pk.ID, Kind: pk.Kind, Addr: pk.Addr,
-					Port: -1, VC: packet.VCOf(pk.Kind),
-				})
-			}
-		})
-	}
-	hostIn.SetDeliver(tap(func(pk *packet.Packet) {
+	hostIn.SetDeliver(func(pk *packet.Packet) {
 		vc := packet.VCOf(pk.Kind)
-		// Telemetry and spans read the response before Receive retires
-		// (and may pool) it; inst.Telemetry/inst.Spans stay nil when the
-		// layer is off and the methods no-op on nil.
-		inst.Telemetry.complete(pk, eng.Now())
-		inst.Spans.Complete(pk, eng.Now())
 		hostPort.Receive(pk)
 		hostIn.ReturnCredit(vc)
-	}, trace.Complete, packet.HostNode, -1))
+	})
 
 	// Vault quadrants behind every cube.
 	intLink := link.Config{
@@ -708,19 +635,11 @@ func Build(p Params) (*Instance, error) {
 			})
 			quadIn := link.NewBuffer(p.Tuning.VaultQueueDepth, toQuad.ReturnCredit)
 			q.Attach(quadIn, fromQuad)
-			toQuad.SetDeliver(tap(q.Deliver(), trace.MemStart, node, int8(qi)))
+			toQuad.SetDeliver(q.Deliver())
 
 			routerIn := link.NewBuffer(p.Tuning.VaultQueueDepth, fromQuad.ReturnCredit)
 			idx := r.AttachPort(routerIn, toQuad)
-			fromQuad.SetDeliver(tap(r.Deliver(idx), trace.MemDone, node, int8(idx)))
-			if spans != nil {
-				bindShip(toQuad, fmt.Sprintf("%d>q%d", node, qi))
-				bindShip(fromQuad, fmt.Sprintf("q%d>%d", qi, node))
-				label := fmt.Sprintf("v%d.q%d", node, qi)
-				q.OnIssue = func(pk *packet.Packet, wait sim.Time) {
-					spans.VaultIssue(pk, label, eng.Now(), wait)
-				}
-			}
+			fromQuad.SetDeliver(r.Deliver(idx))
 			quads[qi] = q
 		}
 		inst.quadrants[n.ID] = quads
@@ -755,9 +674,6 @@ func Build(p Params) (*Instance, error) {
 		})
 	}
 
-	inst.Trace = tlog
-	inst.Spans = spans
-
 	// Arm the resilience machinery last so a disabled Fault config adds
 	// zero events and the golden determinism fingerprints stay intact.
 	if faultOn {
@@ -782,12 +698,7 @@ func Build(p Params) (*Instance, error) {
 		inst.Watchdog.Arm()
 	}
 
-	// Arm telemetry after the network is fully wired (every router port
-	// attached) so registration order — and therefore every export — is
-	// a pure function of the topology.
-	if p.Obs.On() {
-		buildTelemetry(inst, p.Obs)
-	}
+	inst.observe()
 
 	// Prime the injection process.
 	eng.Schedule(0, hostPort.Kick)

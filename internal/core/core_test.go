@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"memnet/internal/arb"
@@ -154,6 +155,13 @@ func TestBuildErrors(t *testing.T) {
 	p.Sys.Ports = 0
 	if _, err := Build(p); err == nil {
 		t.Fatal("invalid system must fail")
+	}
+	// A cube's router ports are its links plus its quadrants, and port
+	// indices are int8: 256 quadrants do not fit.
+	p = testParams(topology.Tree, 1.0, config.NVMLast, arb.RoundRobin, wl)
+	p.Sys.Quadrants, p.Sys.BanksPerCube = 256, 1024
+	if _, err := Build(p); err == nil || !strings.Contains(err.Error(), "core: cube 1:") {
+		t.Fatalf("256-quadrant cube not rejected: %v", err)
 	}
 }
 

@@ -3,14 +3,147 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
+	"memnet/internal/link"
 	"memnet/internal/mem"
 	"memnet/internal/packet"
 	"memnet/internal/sim"
+	"memnet/internal/span"
 	"memnet/internal/topology"
+	"memnet/internal/trace"
 	"memnet/internal/vault"
 )
+
+// observer is the run's packet.Observer, one value per component: a
+// link direction's carries its receiver's trace identity (op, node,
+// input port), a router's its telemetry grant counts, and each its span
+// label. Its methods feed whichever of Trace, Spans and Telemetry is on.
+type observer struct {
+	in     *Instance
+	op     trace.Op
+	port   int8
+	node   packet.NodeID
+	serdes sim.Time
+	label  string
+	grants []uint64
+}
+
+// record appends p's lifecycle event at the observer's node and port.
+func (o *observer) record(op trace.Op, p *packet.Packet) {
+	if l := o.in.Trace; l != nil {
+		l.Record(trace.Event{At: o.in.Eng.Now(), Op: op, Node: o.node, Port: o.port,
+			VC: packet.VCOf(p.Kind), ID: p.ID, Kind: p.Kind, Addr: p.Addr})
+	}
+}
+
+func (o *observer) Inject(p *packet.Packet, wait sim.Time) {
+	o.in.Spans.Start(p, o.in.Eng.Now(), wait)
+	o.record(trace.Inject, p)
+}
+
+func (o *observer) Ship(p *packet.Packet, enq, pop, start, end sim.Time) {
+	o.in.Spans.Ship(p, o.label, o.serdes, enq, pop, start, end)
+}
+
+// Land records the arrival; at the host it also closes the transaction
+// in telemetry and spans, before the host retires (and pools) p.
+func (o *observer) Land(p *packet.Packet) {
+	o.record(o.op, p)
+	if o.op != trace.Complete {
+		return
+	}
+	now := o.in.Eng.Now()
+	if t := o.in.Telemetry; t != nil {
+		t.latency.Observe(now - p.Injected)
+		if i := t.svcIdx[p.Src]; i >= 0 {
+			t.service[i]++
+		}
+	}
+	o.in.Spans.Complete(p, now)
+}
+
+func (o *observer) Grant(p *packet.Packet, port int, wait sim.Time) {
+	if o.grants != nil {
+		o.grants[port]++
+	}
+	o.in.Spans.Seg(p, span.RouterArb, o.label, o.in.Eng.Now()-wait, wait)
+}
+
+func (o *observer) Issue(p *packet.Packet, wait sim.Time) {
+	o.in.Spans.VaultIssue(p, o.label, o.in.Eng.Now(), wait)
+}
+
+// observe is Build's last stage: after every port is attached (so every
+// export is a pure function of the topology) it arms the layers Params
+// asks for and gives each component an observer, or returns at once.
+func (in *Instance) observe() {
+	p := &in.Params
+	if p.TraceDepth > 0 {
+		in.Trace = trace.NewLog(p.TraceDepth)
+	}
+	if p.Spans.Enabled() {
+		in.Spans = span.NewRecorder(*p.Spans, p.Seed)
+	}
+	if p.Obs.On() {
+		buildTelemetry(in, p.Obs)
+	}
+	if in.Trace == nil && in.Spans == nil && in.Telemetry == nil {
+		return
+	}
+	// Span labels name the host "h" and any other node by its ID; they
+	// are built only when spans are armed.
+	label := func(parts ...string) string {
+		if in.Spans == nil {
+			return ""
+		}
+		return strings.Join(parts, "")
+	}
+	name := func(n packet.NodeID) string {
+		if n == packet.HostNode {
+			return "h"
+		}
+		return strconv.Itoa(int(n))
+	}
+	// land observes direction d, which delivers to node's input port.
+	land := func(d *link.Direction, op trace.Op, node packet.NodeID, port int, loc string) {
+		d.SetObserver(&observer{in: in, op: op, node: node, port: int8(port), serdes: d.SerDes(), label: loc})
+	}
+	in.Port.SetObserver(&observer{in: in, node: packet.HostNode, port: -1})
+	g := in.Graph
+	for _, n := range g.Nodes {
+		deg := g.Degree(n.ID)
+		for port := 0; port < deg; port++ {
+			ei := g.EdgeIndex(n.ID, port)
+			d, from := in.dirs[ei].ab, g.Edges[ei].A
+			if from == n.ID {
+				d, from = in.dirs[ei].ba, g.Edges[ei].B
+			}
+			edge := label(name(from), ">", name(n.ID))
+			if n.Kind == topology.Host {
+				land(d, trace.Complete, n.ID, -1, edge)
+			} else {
+				land(d, trace.Arrive, n.ID, port, edge)
+			}
+		}
+		r := in.routers[n.ID]
+		if r == nil {
+			continue
+		}
+		ro := &observer{in: in, label: label("r", name(n.ID))}
+		if t := in.Telemetry; t != nil {
+			ro.grants = t.grants[n.ID]
+		}
+		r.SetObserver(ro)
+		for qi, q := range in.quadrants[n.ID] {
+			c, i := name(n.ID), strconv.Itoa(qi)
+			q.SetObserver(&observer{in: in, label: label("v", c, ".q", i)})
+			land(r.Output(deg+qi), trace.MemStart, n.ID, qi, label(c, ">q", i))
+			land(q.Output(), trace.MemDone, n.ID, deg+qi, label("q", i, ">", c))
+		}
+	}
+}
 
 // NodeReport summarizes one node's routers and vaults after a run; the
 // per-port service-share numbers make the paper's "parking lot"

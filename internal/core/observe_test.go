@@ -9,6 +9,7 @@ import (
 	"memnet/internal/packet"
 	"memnet/internal/sim"
 	"memnet/internal/topology"
+	"memnet/internal/trace"
 	"memnet/internal/workload"
 )
 
@@ -193,7 +194,12 @@ func TestTracing(t *testing.T) {
 	// Pick a packet with a full retained lifecycle and validate ordering.
 	checked := 0
 	for id := uint64(1); id <= 300 && checked < 20; id++ {
-		evs := in.Trace.Packet(id)
+		var evs []trace.Event
+		for _, e := range events {
+			if e.ID == id {
+				evs = append(evs, e)
+			}
+		}
 		var hasInject, hasMemStart, hasMemDone, hasComplete bool
 		for i, e := range evs {
 			if i > 0 && e.At < evs[i-1].At {

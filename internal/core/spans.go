@@ -5,8 +5,20 @@ import (
 	"io"
 
 	"memnet/internal/fault"
+	"memnet/internal/obs"
 	"memnet/internal/span"
 )
+
+// WritePerfetto exports whichever of the lifecycle trace, sampled gauge
+// series and causal spans the run armed as one Chrome/Perfetto
+// trace-event JSON file (obs.WritePerfetto).
+func (in *Instance) WritePerfetto(w io.Writer) error {
+	var s *obs.Sampler
+	if in.Telemetry != nil {
+		s = in.Telemetry.Sampler
+	}
+	return obs.WritePerfetto(w, in.Trace, s, in.Spans.Spans())
+}
 
 // WriteSpans exports the instance's completed causal spans as NDJSON
 // (schema memnet/spans/v1): one header line carrying the run identity

@@ -197,7 +197,7 @@ func TestSpansPerfettoGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := obs.WritePerfettoSpans(&buf, in.Trace, in.Telemetry.Sampler, in.Spans.Spans()); err != nil {
+	if err := in.WritePerfetto(&buf); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "perfetto_spans_golden.json")

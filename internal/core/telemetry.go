@@ -6,45 +6,30 @@ import (
 	"memnet/internal/link"
 	"memnet/internal/obs"
 	"memnet/internal/packet"
-	"memnet/internal/sim"
 	"memnet/internal/topology"
 )
 
 // Telemetry is the instance's armed observability layer: the metrics
-// registry, the interval sampler, and the two hot-path instruments the
-// host completion path feeds (the end-to-end latency histogram and the
-// per-cube service vector behind the Jain fairness series).
+// registry, the interval sampler, and the hot-path instruments the run's
+// observers feed (the end-to-end latency histogram, the per-cube service
+// vector behind the Jain fairness series, and per-router grant counts).
 //
-// A nil *Telemetry is the disabled layer: the single nil check in the
-// completion closure is the entire enabled/disabled delta on the hot
-// path, and the sampler's engine probe never perturbs event order, so
-// Results are bit-identical either way (the golden tests pin this).
+// A nil *Telemetry is the disabled layer. The sampler's engine probe
+// never perturbs event order, so Results are bit-identical either way
+// (the golden tests pin this).
 type Telemetry struct {
 	Registry *obs.Registry
 	Sampler  *obs.Sampler
 
 	latency *obs.Histogram
-	service []uint64 // completed transactions per cube, slot order
-	svcIdx  []int32  // NodeID -> service slot, -1 for non-cubes
-}
-
-// complete records one finished transaction. Called with the response
-// packet before the host retires (and possibly pools) it.
-func (t *Telemetry) complete(pk *packet.Packet, now sim.Time) {
-	if t == nil {
-		return
-	}
-	t.latency.Observe(now - pk.Injected)
-	if int(pk.Src) < len(t.svcIdx) {
-		if i := t.svcIdx[pk.Src]; i >= 0 {
-			t.service[i]++
-		}
-	}
+	service []uint64   // completed transactions per cube, slot order
+	svcIdx  []int32    // NodeID -> service slot, -1 for non-cubes
+	grants  [][]uint64 // NodeID -> arbitration grants per input port
 }
 
 // buildTelemetry registers every metric against the fully wired
 // instance, in deterministic graph order, and arms the interval
-// sampler. Called as the last step of Build, after all ports exist.
+// sampler. Build's observe stage calls it after all ports exist.
 func buildTelemetry(in *Instance, cfg *obs.Config) {
 	reg := obs.NewRegistry()
 	t := &Telemetry{Registry: reg}
@@ -57,8 +42,8 @@ func buildTelemetry(in *Instance, cfg *obs.Config) {
 	reg.Gauge("host.injected", func() int64 { return int64(port.Injected()) })
 	t.latency = reg.Histogram("host.latency_ps")
 
-	// Per-cube service share: the slice is incremented by the host
-	// completion hook; the vec probe just exposes it.
+	// Per-cube service share: the host link's observer increments the
+	// slice; the vec probe just exposes it.
 	t.svcIdx = make([]int32, len(g.Nodes))
 	var svcLabels []string
 	for i := range t.svcIdx {
@@ -76,9 +61,8 @@ func buildTelemetry(in *Instance, cfg *obs.Config) {
 	reg.Vec("cube.service", svcLabels, func() []uint64 { return svc })
 
 	// Routers: occupancy, cumulative input wait, arbitration grants per
-	// input port. GrantCounts is allocated here — after every port is
-	// attached — which is also what switches the router's per-grant
-	// counting on.
+	// input port, counted by each router's observer.
+	t.grants = make([][]uint64, len(g.Nodes))
 	for _, n := range g.Nodes {
 		if n.Kind == topology.Host {
 			continue
@@ -97,8 +81,8 @@ func buildTelemetry(in *Instance, cfg *obs.Config) {
 		reg.Gauge(prefix+".input_wait_ps", func() int64 {
 			return int64(r.TotalInputWait())
 		})
-		r.GrantCounts = make([]uint64, r.NumPorts())
-		grants := r.GrantCounts
+		grants := make([]uint64, r.NumPorts())
+		t.grants[n.ID] = grants
 		labels := make([]string, r.NumPorts())
 		for i := range labels {
 			labels[i] = fmt.Sprintf("p%d", i)

@@ -10,8 +10,10 @@ import (
 
 	"memnet/internal/arb"
 	"memnet/internal/config"
+	"memnet/internal/fault"
 	"memnet/internal/obs"
 	"memnet/internal/sim"
+	"memnet/internal/span"
 	"memnet/internal/topology"
 	"memnet/internal/workload"
 )
@@ -30,72 +32,122 @@ func kmeans(t *testing.T) workload.Spec {
 	return workload.Spec{}
 }
 
-// TestTelemetryBitIdentical is the telemetry layer's core guarantee:
-// arming the registry, the hot-path instruments, and an aggressive
-// sampling interval must leave every Results field — including the raw
-// event count — bit-identical to a run without telemetry.
+// TestTelemetryBitIdentical is the observers' core guarantee: arming a
+// layer must leave every Results field — including the raw event count
+// — bit-identical to a run without it. The layers are telemetry with an
+// aggressive sampling interval, the lifecycle trace alone, and all three
+// (telemetry, trace, spans) under a seeded kill/repair/BER schedule, as
+// perfbench's faults-observed workload runs them.
 func TestTelemetryBitIdentical(t *testing.T) {
 	wl := kmeans(t)
+	layers := []struct {
+		name  string
+		chaos bool
+		arm   func(*Params)
+	}{
+		{"telemetry", false, func(p *Params) {
+			p.Obs = &obs.Config{Enabled: true, SampleInterval: 100 * sim.Nanosecond}
+		}},
+		{"trace", false, func(p *Params) { p.TraceDepth = 256 }},
+		{"faults-observed", true, func(p *Params) {
+			p.Obs = &obs.Config{Enabled: true, SampleInterval: 100 * sim.Nanosecond}
+			p.Spans = &span.Config{SampleStride: 4}
+			p.TraceDepth = 256
+		}},
+	}
 	for _, k := range []topology.Kind{topology.Chain, topology.Tree, topology.SkipList} {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			t.Parallel()
-			p := Params{
-				Sys:          config.Default(),
-				Topo:         k,
-				Arb:          arb.RoundRobin,
-				Workload:     wl,
-				Transactions: 1200,
-				Seed:         7,
-			}
-			plain, err := Simulate(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p.Obs = &obs.Config{Enabled: true, SampleInterval: 100 * sim.Nanosecond}
-			in, err := Build(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			instrumented, err := in.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(plain, instrumented) {
-				t.Errorf("telemetry perturbed results\n off: %+v\n  on: %+v", plain, instrumented)
-			}
-			tel := in.Telemetry
-			if tel == nil || tel.Sampler.Samples() == 0 {
-				t.Fatal("telemetry armed but no samples recorded")
-			}
-			// The instruments saw the whole run: every completion in the
-			// latency histogram and the service vector.
-			d := tel.Registry.Dump()
-			var hist *obs.HistDump
-			for i := range d.Histograms {
-				if d.Histograms[i].Name == "host.latency_ps" {
-					hist = &d.Histograms[i]
-				}
-			}
-			if hist == nil || hist.Count != plain.Transactions {
-				t.Fatalf("latency histogram count %+v, want %d", hist, plain.Transactions)
-			}
-			for _, v := range d.Vecs {
-				if v.Name != "cube.service" {
-					continue
-				}
-				var sum uint64
-				for _, x := range v.Values {
-					sum += x
-				}
-				if sum != plain.Transactions {
-					t.Errorf("cube.service sums to %d, want %d", sum, plain.Transactions)
-				}
-				if v.Jain <= 0 || v.Jain > 1 {
-					t.Errorf("service Jain index %v out of (0,1]", v.Jain)
-				}
+			for _, l := range layers {
+				t.Run(l.name, func(t *testing.T) {
+					p := Params{
+						Sys:          config.Default(),
+						Topo:         k,
+						Arb:          arb.RoundRobin,
+						Workload:     wl,
+						Transactions: 1200,
+						Seed:         7,
+					}
+					if l.chaos {
+						g, err := Graph(p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						fc, err := fault.Chaos(g, fault.ChaosSpec{
+							Seed:      7,
+							Horizon:   sim.Time(p.Transactions) * wl.MeanGap / 2,
+							LinkKills: 2, CubeKills: 2, LaneFlaps: 2,
+							LinkBER: 1e-7,
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						p.Fault = &fc
+					}
+					plain, err := Simulate(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if l.chaos && plain.Fault.CubesKilled == 0 {
+						t.Fatalf("chaos schedule fired no cube kill: %+v", plain.Fault)
+					}
+					l.arm(&p)
+					in, err := Build(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					observed, err := in.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(plain, observed) {
+						t.Errorf("%s perturbed results\n off: %+v\n  on: %+v", l.name, plain, observed)
+					}
+					if p.TraceDepth > 0 && in.Trace.Total() == 0 {
+						t.Error("trace armed but no events recorded")
+					}
+					if p.Obs.On() {
+						checkInstruments(t, in.Telemetry, plain.Transactions)
+					}
+				})
 			}
 		})
+	}
+}
+
+// checkInstruments checks the telemetry instruments saw the whole run:
+// samples were taken, and every completion reached the latency histogram
+// and the service vector.
+func checkInstruments(t *testing.T, tel *Telemetry, txns uint64) {
+	t.Helper()
+	if tel == nil || tel.Sampler.Samples() == 0 {
+		t.Fatal("telemetry armed but no samples recorded")
+	}
+	d := tel.Registry.Dump()
+	var hist *obs.HistDump
+	for i := range d.Histograms {
+		if d.Histograms[i].Name == "host.latency_ps" {
+			hist = &d.Histograms[i]
+		}
+	}
+	if hist == nil || hist.Count != txns {
+		t.Fatalf("latency histogram count %+v, want %d", hist, txns)
+	}
+	for _, v := range d.Vecs {
+		if v.Name != "cube.service" {
+			continue
+		}
+		var sum uint64
+		for _, x := range v.Values {
+			sum += x
+		}
+		if sum != txns {
+			t.Errorf("cube.service sums to %d, want %d", sum, txns)
+		}
+		if v.Jain <= 0 || v.Jain > 1 {
+			t.Errorf("service Jain index %v out of (0,1]", v.Jain)
+		}
 	}
 }
 
@@ -163,7 +215,7 @@ func TestPerfettoGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := obs.WritePerfetto(&buf, in.Trace, in.Telemetry.Sampler); err != nil {
+	if err := in.WritePerfetto(&buf); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "perfetto_golden.json")

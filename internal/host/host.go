@@ -107,10 +107,8 @@ type Port struct {
 	timerFn  sim.Handler
 	retireFn sim.ArgHandler
 
-	// onInject, if set (SetInjectHook), observes every injection with
-	// the time the transaction waited for a window slot, coherence
-	// release, and injection credits.
-	onInject func(pk *packet.Packet, wait sim.Time)
+	// obs, when set (SetObserver), sees every injection.
+	obs packet.Observer
 
 	// Coherence ordering point state.
 	pendingWrites map[uint64]int
@@ -185,12 +183,8 @@ func (p *Port) Attach(out *link.Direction) {
 	out.SetOnSpace(func(packet.VC) { p.Kick() })
 }
 
-// SetInjectHook wires the port's one injection observer (lifecycle
-// trace and span tracer): fn sees every packet as it enters the network,
-// right after its header is built, with the window/coherence/credit wait
-// that preceded injection. Call before the run starts; a nil fn disables
-// the hook.
-func (p *Port) SetInjectHook(fn func(pk *packet.Packet, wait sim.Time)) { p.onInject = fn }
+// SetObserver installs the port's injection observer; nil removes it.
+func (p *Port) SetObserver(o packet.Observer) { p.obs = o }
 
 // Receive is the arrival callback for the root-cube-to-host direction;
 // the host consumes responses immediately (its receive buffering is
@@ -395,8 +389,8 @@ func (p *Port) inject(tx workload.Tx, arrive sim.Time) {
 	}
 	p.inflight++
 	p.injected++
-	if p.onInject != nil {
-		p.onInject(pk, now-arrive)
+	if p.obs != nil {
+		p.obs.Inject(pk, now-arrive)
 	}
 	if g := p.cfg.WavefrontSize; g > 1 && kind == packet.ReadReq {
 		wf := p.wfNext

@@ -357,15 +357,25 @@ func TestMigrationHooks(t *testing.T) {
 	}
 }
 
-// TestOnInjectHook: the port's one injection hook sees each packet once,
-// at its injection instant, with the window wait that preceded it.
+// injectObserver is a packet.Observer that hands every injection to the
+// function; the other boundaries are not the port's.
+type injectObserver func(pk *packet.Packet, wait sim.Time)
+
+func (f injectObserver) Inject(pk *packet.Packet, wait sim.Time)                   { f(pk, wait) }
+func (injectObserver) Ship(*packet.Packet, sim.Time, sim.Time, sim.Time, sim.Time) {}
+func (injectObserver) Land(*packet.Packet)                                         {}
+func (injectObserver) Grant(*packet.Packet, int, sim.Time)                         {}
+func (injectObserver) Issue(*packet.Packet, sim.Time)                              {}
+
+// TestOnInjectHook: the port's observer sees each packet once, at its
+// injection instant, with the window wait that preceded it.
 func TestOnInjectHook(t *testing.T) {
 	gen := &scripted{txs: []workload.Tx{{Addr: 0x40, Gap: 0}, {Addr: 0x80, Gap: 0}}}
 	cfg := baseCfg(2)
 	cfg.MaxOutstanding = 1
 	n := newEchoNet(t, cfg, gen, 5*sim.Nanosecond)
 	var waits []sim.Time
-	n.port.SetInjectHook(func(pk *packet.Packet, wait sim.Time) {
+	n.port.SetObserver(injectObserver(func(pk *packet.Packet, wait sim.Time) {
 		if pk.Kind != packet.ReadReq {
 			t.Errorf("unexpected kind %v", pk.Kind)
 		}
@@ -373,7 +383,7 @@ func TestOnInjectHook(t *testing.T) {
 			t.Errorf("hook at %v for a packet injected at %v", n.eng.Now(), pk.Injected)
 		}
 		waits = append(waits, wait)
-	})
+	}))
 	n.eng.Run()
 	if len(waits) != 2 {
 		t.Fatalf("inject hook fired %d times, want 2", len(waits))

@@ -120,6 +120,11 @@ type Direction struct {
 	// Stats.CreditStall, so pump re-probes don't inflate the counter; the
 	// flag clears when that VC next transmits.
 	stalled [packet.NumVCs]bool
+	// state is the service-state machine; mnlint's fsmcheck analyzer
+	// verifies every write follows the declared transitions. It sits with
+	// the 1-byte fields to keep Direction in the 384 B size class.
+	//lint:fsm up->down,down->retraining,retraining->up
+	state State
 
 	// flt, when non-nil, injects CRC failures on every transmission; the
 	// corrupted packet is held in retryQ (the HMC-style link retry
@@ -128,10 +133,6 @@ type Direction struct {
 	// link.
 	flt    *fault.LinkFault
 	retryQ []retryEntry
-	// state is the service-state machine; mnlint's fsmcheck analyzer
-	// verifies every write follows the declared transitions.
-	//lint:fsm up->down,down->retraining,retraining->up
-	state State
 
 	// origBps is the full-width serialization bandwidth bound at
 	// construction; retraining and flap recovery re-bind to it.
@@ -153,11 +154,9 @@ type Direction struct {
 	pumpFn   sim.Handler
 	arriveFn sim.ArgHandler
 
-	// onShip, when set (SetOnShip), observes every transmission that
-	// will land: enq/pop bound the output-queue residence, start/end the
-	// final wire occupancy (start > pop only after CRC retries). The
-	// span tracer arms it; nil keeps the transmit path hook-free.
-	onShip func(p *packet.Packet, enq, pop, start, end sim.Time)
+	// obs, when set (SetObserver), sees every transmission that will
+	// land (Ship) and every arrival just before delivery (Land).
+	obs packet.Observer
 
 	stats Stats
 }
@@ -177,7 +176,7 @@ type retryEntry struct {
 	attempts int // transmissions so far
 	readyAt  sim.Time
 	// enq/pop carry the original queue residence bounds across retries
-	// so onShip can attribute the full traversal on final delivery.
+	// so the observer's Ship can attribute the full traversal.
 	enq, pop sim.Time
 }
 
@@ -215,14 +214,8 @@ func (d *Direction) SetDeliver(fn func(*packet.Packet)) { d.deliver = fn }
 // SetOnSpace wires the output-queue-space callback.
 func (d *Direction) SetOnSpace(fn func(packet.VC)) { d.onSpace = fn }
 
-// SetOnShip wires the span tracer's transmission observer. fn fires
-// once per packet that will land at the receiver, with the timestamps
-// bounding its output-queue residence [enq,pop), retry-buffer residence
-// [pop,start), and wire occupancy [start,end); the packet lands at
-// end + SerDesLatency. A nil fn disables the hook.
-func (d *Direction) SetOnShip(fn func(p *packet.Packet, enq, pop, start, end sim.Time)) {
-	d.onShip = fn
-}
+// SetObserver installs the direction's observer; nil removes it.
+func (d *Direction) SetObserver(o packet.Observer) { d.obs = o }
 
 // SerDes reports the direction's fixed per-traversal SerDes latency.
 func (d *Direction) SerDes() sim.Time { return d.cfg.SerDesLatency }
@@ -489,11 +482,11 @@ func (d *Direction) finishTransmit(p *packet.Packet, vc packet.VC, attempts int,
 		d.eng.At(readyAt, d.pumpFn)
 		return
 	}
-	if d.onShip != nil {
+	if d.obs != nil {
 		// The final wire occupancy started when the ending Reserve was
 		// taken — at the current instant for both fresh transmissions and
 		// retries (the wire was idle when either path reserved it).
-		d.onShip(p, enq, pop, d.eng.Now(), end)
+		d.obs.Ship(p, enq, pop, d.eng.Now(), end)
 	}
 	// The transmission will land: its credit is now owed back by the
 	// receiver (CompleteRetrain subtracts these when re-arming credits).
@@ -532,6 +525,9 @@ func (d *Direction) arrive(arg any) {
 	if d.cfg.CountHop {
 		p.Hops++
 		d.meter.Hop(p.Kind.Bits())
+	}
+	if d.obs != nil {
+		d.obs.Land(p)
 	}
 	d.deliver(p)
 }

@@ -62,27 +62,13 @@ func phaseOf(op trace.Op) string {
 	}
 }
 
-// WritePerfetto exports the retained packet lifecycle events and (when
-// s is non-nil) every sampled gauge series as Chrome trace-event JSON.
-// Events appear in stable order: lifecycle events chronologically (the
-// ring's retention order), then counter rows tick by tick in gauge
-// registration order.
-func WritePerfetto(w io.Writer, log *trace.Log, s *Sampler) error {
-	return writePerfetto(w, log, s, nil)
-}
-
-// WritePerfettoSpans is WritePerfetto plus the sampled causal spans:
-// each transaction renders under the span process group as one
-// whole-lifetime slice on its own track with one nested "X" slice per
-// latency segment, and consecutive segments are linked by flow arrows
-// ("s"/"f" with bp:"e") so the critical path reads as a chain across
-// the waterfall. With nil spans the output is byte-identical to
-// WritePerfetto.
-func WritePerfettoSpans(w io.Writer, log *trace.Log, s *Sampler, spans []span.TxSpan) error {
-	return writePerfetto(w, log, s, spans)
-}
-
-func writePerfetto(w io.Writer, log *trace.Log, s *Sampler, spans []span.TxSpan) error {
+// WritePerfetto exports the packet lifecycle events of log, the gauge
+// series of s and the causal spans (each may be nil) as Chrome
+// trace-event JSON, in that stable order: events chronologically, counter
+// rows tick by tick, spans in completion order. A span renders as one
+// whole-lifetime slice on its own track, one nested "X" slice per
+// segment, and flow arrows ("s"/"f", bp:"e") along the critical path.
+func WritePerfetto(w io.Writer, log *trace.Log, s *Sampler, spans []span.TxSpan) error {
 	bw := &errWriter{w: w}
 	bw.puts("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
 	first := true

@@ -186,3 +186,22 @@ func (p *Packet) MakeResponse(returnDistance int) {
 	// Responses always take shortest paths (PathShort = 0).
 	p.Class = 0
 }
+
+// Observer watches packets cross the event boundaries the components
+// already have. A component holds one nilable Observer and calls it only
+// when set. An Observer only reads: it schedules nothing and changes no
+// field the simulation reads, so Results do not depend on it.
+type Observer interface {
+	// Inject: the host sends p after wait for window, ordering, credits.
+	Inject(p *Packet, wait sim.Time)
+	// Ship: a link sends p on a transmission that will land, after
+	// [enq,pop) queued and [pop,start) in the retry buffer, on the wire
+	// [start,end); it lands at end plus the SerDes latency.
+	Ship(p *Packet, enq, pop, start, end sim.Time)
+	// Land: p arrives at the link's receiver, just before delivery.
+	Land(p *Packet)
+	// Grant: a router forwards p from input port after wait buffered.
+	Grant(p *Packet, port int, wait sim.Time)
+	// Issue: a vault starts p's bank access after wait queued.
+	Issue(p *Packet, wait sim.Time)
+}

@@ -38,11 +38,21 @@ func newMemoRouter(t *testing.T, n int, queueDepth int, switchBps int64) *memoRo
 		m.log = append(m.log, fmt.Sprintf("route:%d", p.ID))
 		return int(p.Dst)
 	})
-	m.r.OnForward = func(p *packet.Packet, _ int, _ sim.Time) {
+	m.r.SetObserver(grantObserver(func(p *packet.Packet, _ int, _ sim.Time) {
 		m.log = append(m.log, fmt.Sprintf("fwd:%d", p.ID))
-	}
+	}))
 	return m
 }
+
+// grantObserver is a packet.Observer that hands every grant to the
+// function; the other boundaries are not the router's.
+type grantObserver func(p *packet.Packet, port int, wait sim.Time)
+
+func (f grantObserver) Grant(p *packet.Packet, port int, wait sim.Time)           { f(p, port, wait) }
+func (grantObserver) Inject(*packet.Packet, sim.Time)                             {}
+func (grantObserver) Ship(*packet.Packet, sim.Time, sim.Time, sim.Time, sim.Time) {}
+func (grantObserver) Land(*packet.Packet)                                         {}
+func (grantObserver) Issue(*packet.Packet, sim.Time)                              {}
 
 // push queues a packet with the given ID, bound for output port dst,
 // at input port in.

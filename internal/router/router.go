@@ -89,17 +89,8 @@ type Router struct {
 	// route-around path.
 	Rerouted uint64
 
-	// GrantCounts, when non-nil, counts arbitration grants per input
-	// port (telemetry; sized to NumPorts by the observer that arms it).
-	// It exposes which sources actually win the crossbar — the raw
-	// signal behind the paper's parking-lot unfairness.
-	GrantCounts []uint64
-
-	// OnForward, when non-nil, observes every arbitration grant with the
-	// granted packet, its input port, and its input-buffer residence
-	// (arbitration wait plus crossbar contention). The span tracer arms
-	// it; nil keeps the drain loop hook-free.
-	OnForward func(p *packet.Packet, port int, wait sim.Time)
+	// obs, when set (SetObserver), sees every arbitration grant.
+	obs packet.Observer
 }
 
 // New creates a router shell; ports are attached afterwards with
@@ -121,6 +112,9 @@ func New(eng *sim.Engine, node packet.NodeID, policy arb.Policy, switchBps int64
 // SetRoute installs the routing function. Must be called before traffic
 // flows.
 func (r *Router) SetRoute(fn RouteFunc) { r.route = fn }
+
+// SetObserver installs the router's grant observer; nil removes it.
+func (r *Router) SetObserver(o packet.Observer) { r.obs = o }
 
 // Node reports the router's node ID.
 func (r *Router) Node() packet.NodeID { return r.node }
@@ -256,7 +250,7 @@ func (r *Router) drain(o int, vc packet.VC) bool {
 		}
 		pick := r.policy.Pick(o, vc, r.cands, r.heads)
 		var since sim.Time
-		if r.OnForward != nil {
+		if r.obs != nil {
 			since = r.in[pick].HeadSince(vc)
 		}
 		p := r.in[pick].Pop(vc, r.eng.Now())
@@ -264,11 +258,8 @@ func (r *Router) drain(o int, vc packet.VC) bool {
 		r.heads[pick] = nil
 		r.stale = pick
 		r.Forwarded[vc]++
-		if r.GrantCounts != nil {
-			r.GrantCounts[pick]++
-		}
-		if r.OnForward != nil {
-			r.OnForward(p, pick, r.eng.Now()-since)
+		if r.obs != nil {
+			r.obs.Grant(p, pick, r.eng.Now()-since)
 		}
 		if r.switchBps > 0 {
 			r.crossbar.Reserve(r.eng.Now(), sim.BitTime(p.Kind.Bits(), r.switchBps))

@@ -80,6 +80,7 @@ type sweepRig struct {
 	resp   int                  // percentage of new packets that are responses
 	log    []string
 	id     uint64
+	grants []uint64 // grants per input, counted by the rig's observer
 
 	sweeps, busyStarts, emptyStarts, forwarding, armed int
 }
@@ -122,10 +123,11 @@ func newSweepRig(seed uint64, oracle bool) *sweepRig {
 		}
 		return int(p.Addr) - 1
 	})
-	g.r.GrantCounts = make([]uint64, g.n)
-	g.r.OnForward = func(p *packet.Packet, port int, wait sim.Time) {
+	g.grants = make([]uint64, g.n)
+	g.r.SetObserver(grantObserver(func(p *packet.Packet, port int, wait sim.Time) {
+		g.grants[port]++
 		g.note(fmt.Sprintf("fwd %d from %d wait %d", p.ID, port, wait))
-	}
+	}))
 	g.r.sweepFn = func() {
 		g.r.sweepPending = false
 		g.sweep()
@@ -192,7 +194,7 @@ func (g *sweepRig) sweep() {
 		g.armed++
 	}
 	g.note(fmt.Sprintf("end start %d contended %d fwd %v grants %v rerouted %d armed %v free %d pending %d",
-		r.sweepStart, r.Contended, r.Forwarded, r.GrantCounts, r.Rerouted, r.retryArmed,
+		r.sweepStart, r.Contended, r.Forwarded, g.grants, r.Rerouted, r.retryArmed,
 		r.crossbar.FreeAt(), g.eng.Pending()))
 }
 

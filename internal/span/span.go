@@ -5,9 +5,9 @@
 // SerDes traversal, retry backoff, router arbitration wait, and vault
 // queue + service time.
 //
-// The recorder attaches to existing event boundaries through nil-checked
-// accessor hooks (host inject, router grant, link ship, vault issue,
-// host completion); it never schedules events of its own, so Results
+// The recorder is fed at existing event boundaries by the run's packet
+// observers (host inject, router grant, link ship, vault issue, landing
+// at the host); it never schedules events of its own, so Results
 // stay bit-identical with tracing on or off. Sampling is a pure
 // function of the transaction ID and the run seed — no RNG state — so
 // the same transactions are sampled on every rerun and at every shard
@@ -136,9 +136,9 @@ type slot struct {
 }
 
 // Recorder collects spans for one run. All methods are safe on a nil
-// receiver (tracing off) and on packets that were not sampled, so hooks
-// can call unconditionally from hot paths at the cost of one nil check
-// and one field test.
+// receiver (tracing off) and on packets that were not sampled, so
+// observers can call unconditionally from hot paths at the cost of one
+// nil check and one field test.
 type Recorder struct {
 	stride uint64
 	offset uint64
@@ -172,7 +172,7 @@ func (r *Recorder) Sampled(id uint64) bool {
 
 // Start begins a span for pk if its ID is sampled, recording wait
 // picoseconds of host-window time ending at now (the injection
-// instant). It stamps pk.SpanSlot so downstream hooks recognize the
+// instant). It stamps pk.SpanSlot so downstream observers recognize the
 // packet; unsampled packets are left untouched.
 func (r *Recorder) Start(pk *packet.Packet, now, wait sim.Time) {
 	if r == nil || pk.ID%r.stride != r.offset {

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -103,6 +104,19 @@ func TestBuildScenarioRejects(t *testing.T) {
 	s.Links = append(s.Links, scenario.Link{A: "a0", B: "b2"})
 	if _, err := BuildScenario(s); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("over-budget cube not rejected: %v", err)
+	}
+	// Router port budget: an interface hub linking the host and 130
+	// cubes has more ports than an int8 port index can name.
+	s = &scenario.Spec{Schema: scenario.Schema, Name: "hub",
+		Nodes: []scenario.Node{{Name: "hub", Kind: "iface"}},
+		Links: []scenario.Link{{A: "host", B: "hub"}}}
+	for i := 0; i < 130; i++ {
+		c := fmt.Sprintf("c%d", i)
+		s.Nodes = append(s.Nodes, scenario.Node{Name: c})
+		s.Links = append(s.Links, scenario.Link{A: "hub", B: c})
+	}
+	if _, err := BuildScenario(s); err == nil || !strings.Contains(err.Error(), "node 1 exceeds 128 ports") {
+		t.Fatalf("131-port hub not rejected: %v", err)
 	}
 	// Spec-level validation errors surface through BuildScenario too.
 	s = twoPodSpec()

@@ -170,6 +170,11 @@ type half struct {
 // MaxCubePorts is the external-link budget of a memory cube package.
 const MaxCubePorts = 4
 
+// MaxPorts bounds the ports of any node's router, vault ports included:
+// next-hop tables, packet.EnterPort and trace.Event.Port hold a port
+// index as an int8.
+const MaxPorts = 128
+
 // Graph is an immutable built topology with routing tables.
 type Graph struct {
 	Kind  Kind
@@ -527,6 +532,9 @@ func (b *builder) finish() (*Graph, error) {
 	}
 	for _, n := range g.Nodes {
 		d := len(g.adj[n.ID])
+		if d > MaxPorts {
+			return nil, fmt.Errorf("topology: node %d exceeds %d ports (%d)", n.ID, MaxPorts, d)
+		}
 		switch n.Kind {
 		case Cube:
 			if d > MaxCubePorts {

@@ -113,17 +113,6 @@ func (l *Log) Events() []Event {
 	return out
 }
 
-// Packet returns the retained events belonging to one packet ID.
-func (l *Log) Packet(id uint64) []Event {
-	var out []Event
-	for _, e := range l.Events() {
-		if e.ID == id {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // String renders the retained events one per line.
 func (l *Log) String() string {
 	var b strings.Builder

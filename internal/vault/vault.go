@@ -69,10 +69,8 @@ type Quadrant struct {
 	completeFn sim.ArgHandler
 	stats      Stats
 
-	// OnIssue, when non-nil, observes every bank issue with the request
-	// packet and its vault input-queue wait (arrival to issue). The span
-	// tracer arms it; nil keeps the issue path hook-free.
-	OnIssue func(p *packet.Packet, wait sim.Time)
+	// obs, when set (SetObserver), sees every bank issue.
+	obs packet.Observer
 }
 
 // Config bundles quadrant construction parameters.
@@ -124,6 +122,12 @@ func (q *Quadrant) Attach(in *link.Buffer, out *link.Direction) {
 	q.out = out
 	out.SetOnSpace(func(packet.VC) { q.kick() })
 }
+
+// SetObserver installs the quadrant's issue observer; nil removes it.
+func (q *Quadrant) SetObserver(o packet.Observer) { q.obs = o }
+
+// Output exposes the response direction into the router.
+func (q *Quadrant) Output() *link.Direction { return q.out }
 
 // Deliver is the arrival callback for the router->quadrant direction.
 func (q *Quadrant) Deliver() func(*packet.Packet) {
@@ -184,8 +188,8 @@ func (q *Quadrant) pump() {
 func (q *Quadrant) start(p *packet.Packet) {
 	now := q.eng.Now()
 	q.stats.QueueWait += now - p.ArrivedMem
-	if q.OnIssue != nil {
-		q.OnIssue(p, now-p.ArrivedMem)
+	if q.obs != nil {
+		q.obs.Issue(p, now-p.ArrivedMem)
 	}
 	start := now
 	if q.extPorts > 0 && int(p.EnterPort)%max(1, q.extPorts) != q.index%max(1, q.extPorts) {

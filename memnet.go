@@ -230,17 +230,9 @@ type RunManifest = obs.Manifest
 // serialization/SerDes and arbitration waits, and vault queue + service
 // time. Spans never perturb the simulation — Results are bit-identical
 // with tracing on or off — and are exported with Instance.WriteSpans
-// (NDJSON, schema memnet/spans/v1) or WritePerfettoSpans; cmd/mntrace
+// (NDJSON, schema memnet/spans/v1) or Instance.WritePerfetto; cmd/mntrace
 // analyzes the NDJSON into latency waterfalls and per-edge blame.
 type SpanConfig = span.Config
-
-// WritePerfetto exports packet lifecycles (Instance.Trace) and sampled
-// gauge series as Chrome/Perfetto trace-event JSON.
-var WritePerfetto = obs.WritePerfetto
-
-// WritePerfettoSpans is WritePerfetto plus sampled causal spans as
-// nested per-transaction slices linked by flow arrows.
-var WritePerfettoSpans = obs.WritePerfettoSpans
 
 // ValidateManifestJSON checks a serialized manifest against the
 // embedded run-manifest schema.

@@ -136,30 +136,39 @@ func TestScenarioExportFailLinks(t *testing.T) {
 }
 
 // TestScenarioRunCached proves the cache-hit property: a re-loaded
-// scenario document is served from the result cache without simulating.
+// scenario document is served from the result cache without simulating,
+// also when the config carries a telemetry block that arms nothing.
 func TestScenarioRunCached(t *testing.T) {
-	dir := t.TempDir()
-	run := func() (Results, bool) {
-		s, err := LoadScenario(strings.NewReader(scenarioDoc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, cached, err := RunCached(Config{Scenario: s, Transactions: 1000, DRAMFraction: 1.0}, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, cached
-	}
-	first, cached := run()
-	if cached {
-		t.Fatal("first run reported cached")
-	}
-	second, cached := run()
-	if !cached {
-		t.Fatal("re-loaded scenario missed the cache")
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Error("cached results differ from simulated results")
+	for _, c := range []struct {
+		name string
+		tel  *TelemetryConfig
+	}{{"plain", nil}, {"telemetry-off", &TelemetryConfig{}}} {
+		tel := c.tel
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			run := func() (Results, bool) {
+				s, err := LoadScenario(strings.NewReader(scenarioDoc))
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, cached, err := RunCached(Config{Scenario: s, Transactions: 1000, DRAMFraction: 1.0, Telemetry: tel}, dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, cached
+			}
+			first, cached := run()
+			if cached {
+				t.Fatal("first run reported cached")
+			}
+			second, cached := run()
+			if !cached {
+				t.Fatal("re-loaded scenario missed the cache")
+			}
+			if !reflect.DeepEqual(first, second) {
+				t.Error("cached results differ from simulated results")
+			}
+		})
 	}
 }
 
