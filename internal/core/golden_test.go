@@ -7,6 +7,10 @@ import (
 	"memnet/internal/arb"
 	"memnet/internal/config"
 	"memnet/internal/energy"
+	"memnet/internal/fault"
+	"memnet/internal/migrate"
+	"memnet/internal/scenario"
+	"memnet/internal/sim"
 	"memnet/internal/stats"
 	"memnet/internal/topology"
 	"memnet/internal/workload"
@@ -61,8 +65,9 @@ type goldenRun struct {
 }
 
 // runGolden simulates every row as a parallel subtest and requires its
-// Results, field for field.
-func runGolden(t *testing.T, runs []goldenRun) {
+// Results, field for field. setup, when given, completes each row's
+// Params before the run (faults, migration, a scenario).
+func runGolden(t *testing.T, runs []goldenRun, setup ...func(*Params)) {
 	for _, c := range runs {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -73,7 +78,7 @@ func runGolden(t *testing.T, runs []goldenRun) {
 			}
 			sys := config.Default()
 			sys.DRAMFraction = c.dram
-			res, err := Simulate(Params{
+			p := Params{
 				Sys:          sys,
 				Topo:         c.topo,
 				Arb:          c.arb,
@@ -82,7 +87,11 @@ func runGolden(t *testing.T, runs []goldenRun) {
 				Seed:         7,
 				Tuning:       c.tuning,
 				FailLinks:    c.fail,
-			})
+			}
+			for _, f := range setup {
+				f(&p)
+			}
+			res, err := Simulate(p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,5 +198,58 @@ func TestGoldenSchedulePins(t *testing.T) {
 			Breakdown:    stats.Breakdown{ToMem: 35667, InMem: 29481, FromMem: 41614},
 			Energy:       energy.Breakdown{NetworkPJ: 6.185472e+07, ReadPJ: 9.824256e+06, WritePJ: 2.463744e+06},
 			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 8.054, Events: 146929}},
+	})
+}
+
+// TestGoldenBuildStages pins fixed-seed Results for the build paths the
+// plain pins leave out: a 50%-NVM skip list under a seeded bit-error
+// rate, a lane flap, a link kill and repair and a cube kill and repair,
+// with hot-block migration on; and a scenario whose links override
+// bandwidth, SerDes latency, buffer depth and VC count and whose
+// routers override arbitration, write demotion and crossbar bandwidth.
+// The values were recorded before core.Build was split into stages.
+func TestGoldenBuildStages(t *testing.T) {
+	runGolden(t, []goldenRun{
+		{"SkipList/FaultsMigration", "KMEANS", topology.SkipList, arb.DistanceAugmented, 0.5, Tuning{}, nil, Results{Label: "50%-SL (NVM-L)", Workload: "KMEANS", FinishTime: 7747796, MeanLatency: 98105,
+			Breakdown:    stats.Breakdown{ToMem: 27062, InMem: 50123, FromMem: 20920},
+			Energy:       energy.Breakdown{NetworkPJ: 2.706688e+07, ReadPJ: 1.7344512e+07, WritePJ: 5.4386688e+07},
+			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 2.994, Events: 84817,
+			Fault: stats.FaultCounters{CRCErrors: 5, Retries: 5, Bounced: 4, Rehomed: 69, LaneFails: 1, LinksKilled: 1, CubesKilled: 2,
+				LinksRepaired: 1, CubesRepaired: 2, LaneRepairs: 1, HealedBits: 236416}}},
+	}, func(p *Params) {
+		mc := migrate.DefaultConfig()
+		mc.Epoch = sim.Microsecond
+		mc.HotThreshold = 2
+		p.Migration = &mc
+		p.Fault = &fault.Config{
+			Seed:        3,
+			LinkBER:     1e-6,
+			LaneFlaps:   []fault.LaneFlap{{Edge: 1, Down: 500 * sim.Nanosecond, Up: 1500 * sim.Nanosecond}},
+			KillLinks:   []fault.LinkKill{{Edge: 5, At: 1400 * sim.Nanosecond}},
+			RepairLinks: []fault.LinkRepair{{Edge: 5, At: 2500 * sim.Nanosecond}},
+			// Cube 5 is cube 6's spare when it dies, so its victim
+			// moves with it.
+			KillCubes:   []fault.CubeKill{{Node: 6, At: 1300 * sim.Nanosecond}, {Node: 5, At: 1600 * sim.Nanosecond}},
+			RepairCubes: []fault.CubeRepair{{Node: 6, At: 3000 * sim.Nanosecond}, {Node: 5, At: 3500 * sim.Nanosecond}},
+		}
+	})
+	runGolden(t, []goldenRun{
+		{"Scenario/Overrides", "KMEANS", topology.Scenario, arb.RoundRobin, 1, Tuning{}, nil, Results{Label: "two-pod", Workload: "KMEANS", FinishTime: 7107189, MeanLatency: 89314,
+			Breakdown:    stats.Breakdown{ToMem: 36205, InMem: 28635, FromMem: 24474},
+			Energy:       energy.Breakdown{NetworkPJ: 2.214528e+07, ReadPJ: 9.824256e+06, WritePJ: 2.463744e+06},
+			Transactions: 2000, Reads: 1599, Writes: 401, MeanHops: 2.8835, Events: 76151}},
+	}, func(p *Params) {
+		s := twoPod()
+		buf, one, bw, ser := 12, 1, int64(40e9), int64(20000)
+		s.Links[0].BufferPackets = &buf
+		s.Links[2].BandwidthBps = &bw
+		s.Links[2].SerDesPs = &ser
+		s.Links[5].VCs = &one
+		demote, xbar := int64(3), int64(150e9)
+		s.Routers = map[string]scenario.Router{
+			"a0": {Arb: "distance", WriteDemotion: &demote},
+			"x":  {Arb: "augmented", SwitchBandwidthBps: &xbar},
+		}
+		p.Scenario = s
 	})
 }
