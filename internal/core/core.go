@@ -16,7 +16,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"memnet/internal/addr"
 	"memnet/internal/arb"
@@ -219,8 +218,13 @@ type Instance struct {
 	// completed spans are exported with Instance.WriteSpans.
 	Spans *span.Recorder
 
-	routers   map[packet.NodeID]*router.Router
-	quadrants map[packet.NodeID][]*vault.Quadrant
+	// Per-node tables, indexed by NodeID: routers is nil at the host,
+	// quadrants is empty except at cubes, and rehome[n] is the surviving
+	// cube now serving dead cube n's address range (always fully
+	// collapsed: never a dead cube), or -1 while n is live.
+	routers   []*router.Router
+	quadrants [][]*vault.Quadrant
+	rehome    []packet.NodeID
 
 	// live is the routing graph the route closures consult; it starts as
 	// Graph and is swapped for a degraded (Disable) graph when a
@@ -228,25 +232,25 @@ type Instance struct {
 	// across swaps, so the wired network never changes shape.
 	live *topology.Graph
 	// dirs holds the two directions of every external edge, indexed like
-	// Graph.Edges, for scheduled faults to down-bind or kill.
-	dirs []edgeDirs
+	// Graph.Edges, for scheduled faults to down-bind or kill: side 0
+	// runs A->B, side 1 B->A.
+	dirs [][2]*link.Direction
 
-	// Fault plan, precomputed and validated at Build time: one entry per
-	// scheduled event; planGraphs[i] is the routing graph after event i
-	// (nil when routing is unchanged), planSpares[i] the re-home target
-	// of a cube kill.
-	faultCfg   fault.Config
-	planEvents []fault.Event
-	planGraphs []*topology.Graph
-	planSpares []packet.NodeID
-	// rehome maps a dead cube to the surviving cube now serving its
-	// address range (always fully collapsed: values are never dead).
-	rehome map[packet.NodeID]packet.NodeID
-	fc     stats.FaultCounters
+	// faultCfg and plan are the fault schedule, precomputed and
+	// validated at Build time.
+	faultCfg fault.Config
+	plan     []plannedFault
+	fc       stats.FaultCounters
 }
 
-// edgeDirs is the direction pair of one undirected edge.
-type edgeDirs struct{ ab, ba *link.Direction } // A->B, B->A
+// plannedFault is one scheduled fault or repair with what Build
+// precomputed for it: the routing graph in force after it (nil when
+// routing is unchanged) and, for a cube kill, the re-home spare.
+type plannedFault struct {
+	fault.Event
+	graph *topology.Graph
+	spare packet.NodeID
+}
 
 // TechOrder returns the per-position cube technologies implied by the
 // system's DRAM fraction and placement. Position 0 is nearest the host.
@@ -353,22 +357,49 @@ func (p *Params) graph() (*topology.Graph, *scenario.Spec, error) {
 	return g, nil, nil
 }
 
-// Build constructs a simulation instance from params on a fresh engine.
+// Build constructs a simulation instance from params on a fresh engine,
+// one stage per layer. Constructors schedule nothing; the stages that
+// do enqueue events in a fixed order, which every fixed-seed result
+// depends on: the migration epoch (buildHost), each planned fault
+// (armFaults), the watchdog tick, the telemetry sampler (observe), and
+// last the host's first injection attempt.
 func Build(p Params) (*Instance, error) {
-	if err := p.validateSys(); err != nil {
+	in, scen, err := newInstance(p)
+	if err != nil {
 		return nil, err
 	}
+	in.buildLinks(scen)
+	in.buildHost()
+	if err := in.armFaults(scen); err != nil {
+		return nil, err
+	}
+	if err := in.buildNodes(scen); err != nil {
+		return nil, err
+	}
+	in.observe()
+	in.Eng.Schedule(0, in.Port.Kick)
+	return in, nil
+}
+
+// newInstance validates p and builds what every later stage reads: the
+// routing graph, the address mapper, the energy meter, the statistics
+// collector and the empty per-node tables. It also returns the
+// normalized scenario (nil for a compiled-in topology) whose per-link
+// and per-router overrides the wiring stages apply.
+func newInstance(p Params) (*Instance, *scenario.Spec, error) {
+	if err := p.validateSys(); err != nil {
+		return nil, nil, err
+	}
 	if p.Transactions == 0 {
-		return nil, fmt.Errorf("core: zero transactions")
+		return nil, nil, fmt.Errorf("core: zero transactions")
 	}
 	if p.Tuning == (Tuning{}) {
 		p.Tuning = DefaultTuning()
 	}
 	g, scen, err := p.graph()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	eng := sim.NewEngine()
 
 	// Capacity-proportional interleave slots in cube position order.
 	var slots []addr.CubeSlot
@@ -387,44 +418,74 @@ func Build(p Params) (*Instance, error) {
 	}
 	mapper, err := addr.NewMapper(&p.Sys, slots)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	meter := energy.NewMeter(p.Sys.Energy)
-	collector := stats.NewCollector(p.KeepSamples)
-
-	inst := &Instance{
+	in := &Instance{
 		Params:    p,
-		Eng:       eng,
+		Eng:       sim.NewEngine(),
 		Graph:     g,
 		Mapper:    mapper,
-		Collector: collector,
-		Meter:     meter,
-		routers:   make(map[packet.NodeID]*router.Router),
-		quadrants: make(map[packet.NodeID][]*vault.Quadrant),
+		Collector: stats.NewCollector(p.KeepSamples),
+		Meter:     energy.NewMeter(p.Sys.Energy),
+		routers:   make([]*router.Router, len(g.Nodes)),
+		quadrants: make([][]*vault.Quadrant, len(g.Nodes)),
+		rehome:    make([]packet.NodeID, len(g.Nodes)),
 		live:      g,
-		rehome:    make(map[packet.NodeID]packet.NodeID),
 	}
-
-	// Precompute and validate the fault plan: every scheduled fault's
-	// degraded routing graph and re-home target is built here, so an
-	// unsurvivable scenario (a chain cut, a Full cube kill with no
-	// redundancy, a kill leaving no memory) fails at Build, not mid-run.
-	faultOn := p.Fault.Enabled()
-	if faultOn {
-		inst.faultCfg = p.Fault.WithDefaults()
-		if err := inst.faultCfg.Validate(); err != nil {
-			return nil, err
-		}
-		if err := inst.planFaults(); err != nil {
-			return nil, err
-		}
+	for i := range in.rehome {
+		in.rehome[i] = -1
 	}
+	return in, scen, nil
+}
 
-	// Workload generator: per-port load scales inversely with the port
-	// count (the system-wide request rate is fixed; §6.1). The host's
-	// MLP window scales the same way — the processor's total outstanding
-	// capacity is a system property divided across its ports.
+// buildLinks creates the direction pair of every external edge, with
+// the scenario's per-link overrides applied.
+func (in *Instance) buildLinks(scen *scenario.Spec) {
+	p := &in.Params
+	ext := link.Config{
+		BandwidthBps:  p.Sys.LinkBandwidthBps(),
+		SerDesLatency: p.Sys.SerDesLatency,
+		QueueDepth:    p.Sys.LinkBufferPackets,
+		Credits:       p.Sys.LinkBufferPackets,
+		NoVCPriority:  p.Tuning.NoVCPriority,
+		CountHop:      true,
+	}
+	interposer := ext
+	interposer.BandwidthBps *= int64(p.Tuning.InterposerBandwidthX)
+	interposer.SerDesLatency = p.Tuning.InterposerSerDes
+
+	in.dirs = make([][2]*link.Direction, len(in.Graph.Edges))
+	for ei, e := range in.Graph.Edges {
+		base := ext
+		if e.Interposer {
+			base = interposer
+		}
+		cfg := linkConfig(base, scen.LinkOf(ei))
+		in.dirs[ei] = [2]*link.Direction{link.New(in.Eng, cfg, in.Meter), link.New(in.Eng, cfg, in.Meter)}
+	}
+}
+
+// portDirs returns the two directions of node's port: out leaves the
+// node, arrive lands at it. Graph port indices equal router port
+// indices, so this is the one place an edge's orientation is read.
+func (in *Instance) portDirs(node packet.NodeID, port int) (out, arrive *link.Direction) {
+	ei := in.Graph.EdgeIndex(node, port)
+	d := in.dirs[ei]
+	if in.Graph.Edges[ei].A == node {
+		return d[0], d[1]
+	}
+	return d[1], d[0]
+}
+
+// buildHost creates the workload generator, the migration manager (whose
+// constructor schedules the first epoch) and the host port on its link.
+func (in *Instance) buildHost() {
+	p := &in.Params
+	// Per-port load scales inversely with the port count (the
+	// system-wide request rate is fixed; §6.1). The host's MLP window
+	// scales the same way — the processor's total outstanding capacity
+	// is a system property divided across its ports.
 	spec := p.Workload
 	spec.MeanGap = spec.MeanGap * sim.Time(p.Sys.Ports) / 8
 	if spec.Window > 0 {
@@ -437,19 +498,8 @@ func Build(p Params) (*Instance, error) {
 		gen = workload.New(spec, p.Sys.PortCapacity(), p.Seed|1)
 	}
 	if p.Record {
-		rec := workload.NewRecorder(gen)
-		gen = rec
-		inst.Recorder = rec
-	}
-
-	var migrator *migrate.Manager
-	if p.Migration != nil {
-		mc := *p.Migration
-		mc.BlockBytes = p.Sys.InterleaveBytes
-		migrator = migrate.New(eng, mc, func(phys uint64) config.MemTech {
-			return mapper.Tech(mapper.CubeOf(phys))
-		}, meter)
-		inst.Migrator = migrator
+		in.Recorder = workload.NewRecorder(gen)
+		gen = in.Recorder
 	}
 
 	window := p.Sys.MaxOutstanding * 8 / p.Sys.Ports
@@ -469,240 +519,195 @@ func Build(p Params) (*Instance, error) {
 		ShortcutWindow: p.Tuning.ShortcutWindow,
 		WavefrontSize:  p.Tuning.WavefrontSize,
 	}
-	if migrator != nil {
-		hcfg.Observe, hcfg.ReadyAt, hcfg.Translate = migrator.Observe, migrator.ReadyAt, migrator.Translate
+	if p.Migration != nil {
+		mc := *p.Migration
+		mc.BlockBytes = p.Sys.InterleaveBytes
+		in.Migrator = migrate.New(in.Eng, mc, func(phys uint64) config.MemTech {
+			return in.Mapper.Tech(in.Mapper.CubeOf(phys))
+		}, in.Meter)
+		hcfg.Observe, hcfg.ReadyAt, hcfg.Translate = in.Migrator.Observe, in.Migrator.ReadyAt, in.Migrator.Translate
 	}
-	hostPort := host.New(eng, hcfg, gen, host.Wiring{
+	in.Port = host.New(in.Eng, hcfg, gen, host.Wiring{
 		DestOf: func(a uint64) packet.NodeID {
-			n := mapper.CubeOf(a)
-			if spare, ok := inst.rehome[n]; ok {
-				inst.fc.Rehomed++
+			n := in.Mapper.CubeOf(a)
+			if spare := in.rehome[n]; spare >= 0 {
+				in.fc.Rehomed++
 				return spare
 			}
 			return n
 		},
 		DistOf: func(dst packet.NodeID, class topology.PathClass) int {
-			return inst.live.Dist(class, packet.HostNode, dst)
+			return in.live.Dist(class, packet.HostNode, dst)
 		},
-	}, collector)
-	inst.Port = hostPort
+	}, in.Collector)
+	in.Port.Attach(in.portDirs(packet.HostNode, 0))
+}
 
-	// Arbitration policy factory: one stateful policy per router. A
-	// scenario can pin an individual router's policy and write
-	// demotion; everything else inherits the run-wide settings.
-	biasHops := techBiasHops(&p.Sys)
-	newPolicy := func(kind arb.Kind, demotion int64) arb.Policy {
-		cfg := arb.Config{WriteDemotion: demotion}
-		if kind == arb.DistanceAugmented {
-			cfg.Bias = func(n packet.NodeID) int64 {
-				if mapper.Tech(n) == config.NVM {
-					return biasHops
-				}
-				return 0
-			}
-		}
-		return arb.New(kind, cfg)
+// armFaults is the fault layer's one stage, and a no-op unless
+// Params.Fault is enabled, so a disabled config adds zero events and
+// the golden fingerprints stay intact. It validates the schedule and
+// precomputes every fault's degraded routing graph and re-home target,
+// so an unsurvivable scenario (a chain cut, a Full cube kill with no
+// redundancy, a kill leaving no memory) fails at Build, not mid-run. It
+// then attaches the bit-error streams, schedules the faults, and arms
+// the watchdog.
+func (in *Instance) armFaults(scen *scenario.Spec) error {
+	if !in.Params.Fault.Enabled() {
+		return nil
 	}
-
-	// Routers for every non-host node.
-	for _, n := range g.Nodes {
-		if n.Kind == topology.Host {
-			continue
-		}
-		if n.Kind == topology.Cube && g.Degree(n.ID)+p.Sys.Quadrants > topology.MaxPorts {
-			return nil, fmt.Errorf("core: cube %d: %d links plus %d quadrants exceed %d router ports",
-				n.ID, g.Degree(n.ID), p.Sys.Quadrants, topology.MaxPorts)
-		}
-		aKind, demotion, xbar, err := routerSettings(&p, n, scen)
-		if err != nil {
-			return nil, err
-		}
-		inst.routers[n.ID] = router.New(eng, n.ID, newPolicy(aKind, demotion), xbar)
+	in.faultCfg = in.Params.Fault.WithDefaults()
+	if err := in.faultCfg.Validate(); err != nil {
+		return err
 	}
-
-	// Per-edge link direction pairs, attached in adjacency order so that
-	// graph port indices equal router port indices.
-	extLink := link.Config{
-		BandwidthBps:  p.Sys.LinkBandwidthBps(),
-		SerDesLatency: p.Sys.SerDesLatency,
-		QueueDepth:    p.Sys.LinkBufferPackets,
-		Credits:       p.Sys.LinkBufferPackets,
-		NoVCPriority:  p.Tuning.NoVCPriority,
-		CountHop:      true,
+	if err := in.planFaults(); err != nil {
+		return err
 	}
-	ipLink := extLink
-	ipLink.BandwidthBps *= int64(p.Tuning.InterposerBandwidthX)
-	ipLink.SerDesLatency = p.Tuning.InterposerSerDes
-
-	dirs := make([]edgeDirs, len(g.Edges))
-	for ei, e := range g.Edges {
-		over := scen.LinkOf(ei)
-		base := extLink
-		if e.Interposer {
-			base = ipLink
-		}
-		cfg := linkConfig(base, over)
-		dirs[ei] = edgeDirs{
-			ab: link.New(eng, cfg, meter),
-			ba: link.New(eng, cfg, meter),
-		}
+	for ei, e := range in.Graph.Edges {
 		// Bit errors afflict package-to-package SerDes channels; the
 		// wide parallel interposer traces inside a MetaCube are exempt.
-		if faultOn && !e.Interposer {
-			dirs[ei].ab.AttachFault(linkFault(inst.faultCfg.LinkFault(ei, 0), over))
-			dirs[ei].ba.AttachFault(linkFault(inst.faultCfg.LinkFault(ei, 1), over))
-		}
-	}
-	inst.dirs = dirs
-
-	for _, n := range g.Nodes {
-		if n.Kind == topology.Host {
+		if e.Interposer {
 			continue
 		}
-		r := inst.routers[n.ID]
-		for port := 0; port < g.Degree(n.ID); port++ {
-			e := g.EdgeAt(n.ID, port)
-			var out, in *link.Direction
-			ei := g.EdgeIndex(n.ID, port)
-			if e.A == n.ID {
-				out, in = dirs[ei].ab, dirs[ei].ba
-			} else {
-				out, in = dirs[ei].ba, dirs[ei].ab
+		retries := scen.LinkOf(ei).MaxRetries // the link's retry-budget override
+		for side, d := range in.dirs[ei] {
+			f := in.faultCfg.LinkFault(ei, side)
+			if f != nil && retries != nil {
+				f.MaxRetries = *retries
 			}
-			buf := link.NewBuffer(in.BufferDepth(), in.ReturnCredit)
-			idx := r.AttachPort(buf, out)
-			in.SetDeliver(r.Deliver(idx))
+			d.AttachFault(f)
 		}
 	}
-
-	// Host wiring: the host's single link.
-	hostEdgeIdx := g.EdgeIndex(packet.HostNode, 0)
-	he := g.Edges[hostEdgeIdx]
-	var hostOut, hostIn *link.Direction
-	if he.A == packet.HostNode {
-		hostOut, hostIn = dirs[hostEdgeIdx].ab, dirs[hostEdgeIdx].ba
-	} else {
-		hostOut, hostIn = dirs[hostEdgeIdx].ba, dirs[hostEdgeIdx].ab
+	for i, pf := range in.plan {
+		if pf.Kind == fault.EvRepairLink {
+			// The retraining window opens at the repair instant; the
+			// route-back and credit re-arm fire at pf.At when it closes
+			// (applyFault's EvRepairLink arm).
+			pair := in.dirs[pf.Edge]
+			in.Eng.At(pf.Start, func() {
+				for _, d := range pair {
+					d.BeginRetrain()
+				}
+			})
+		}
+		in.Eng.At(pf.At, func() { in.applyFault(i) })
 	}
-	hostPort.Attach(hostOut)
-	hostIn.SetDeliver(func(pk *packet.Packet) {
-		vc := packet.VCOf(pk.Kind)
-		hostPort.Receive(pk)
-		hostIn.ReturnCredit(vc)
-	})
+	in.Watchdog = sim.NewWatchdog(in.Eng,
+		in.faultCfg.WatchdogInterval, in.faultCfg.WatchdogStale,
+		in.Collector.Completed,
+		func() bool { return in.Port.Inflight() > 0 })
+	in.Watchdog.Arm()
+	return nil
+}
 
-	// Vault quadrants behind every cube.
-	intLink := link.Config{
+// buildNodes wires every non-host node in one pass: its router, the
+// external ports in adjacency order (so graph port indices equal router
+// port indices), a cube's vault quadrants behind them, and the route.
+func (in *Instance) buildNodes(scen *scenario.Spec) error {
+	p := &in.Params
+	vaultLink := link.Config{
 		BandwidthBps:  p.Sys.LinkBandwidthBps() * int64(p.Tuning.InternalBandwidthX),
 		SerDesLatency: 0,
 		QueueDepth:    p.Tuning.VaultQueueDepth,
 		Credits:       p.Tuning.VaultQueueDepth,
 		CountHop:      false,
 	}
-	for _, n := range g.Nodes {
-		if n.Kind != topology.Cube {
-			continue
-		}
-		r := inst.routers[n.ID]
-		extDeg := g.Degree(n.ID)
-		node := n.ID
-		retDist := func(pk *packet.Packet) int {
-			// Responses travel the short (shortest-path) table.
-			return inst.live.Dist(topology.PathShort, node, pk.Src)
-		}
-		inflight := p.Tuning.VaultMaxInflight
-		if n.Tech == config.NVM && p.Tuning.NVMMaxInflight > 0 {
-			inflight = p.Tuning.NVMMaxInflight
-		}
-		quads := make([]*vault.Quadrant, p.Sys.Quadrants)
-		for qi := 0; qi < p.Sys.Quadrants; qi++ {
-			toQuad := link.New(eng, intLink, meter)
-			fromQuad := link.New(eng, intLink, meter)
-			q := vault.New(eng, vault.Config{
-				Tech:        n.Tech,
-				Timing:      p.Sys.Timing(n.Tech),
-				Index:       qi,
-				ExtPorts:    extDeg,
-				Penalty:     p.Sys.WrongQuadrantPenalty,
-				Banks:       p.Sys.BanksPerQuadrant(),
-				MaxInflight: inflight,
-				BankMap: func(a uint64) (int, int64) {
-					_, _, bank, row := mapper.Decompose(a)
-					return bank, row
-				},
-				ReturnDist: retDist,
-				Meter:      meter,
-			})
-			quadIn := link.NewBuffer(p.Tuning.VaultQueueDepth, toQuad.ReturnCredit)
-			q.Attach(quadIn, fromQuad)
-			toQuad.SetDeliver(q.Deliver())
-
-			routerIn := link.NewBuffer(p.Tuning.VaultQueueDepth, fromQuad.ReturnCredit)
-			idx := r.AttachPort(routerIn, toQuad)
-			fromQuad.SetDeliver(r.Deliver(idx))
-			quads[qi] = q
-		}
-		inst.quadrants[n.ID] = quads
-	}
-
-	// Routing functions, closing over the host's shortcut state.
-	for _, n := range g.Nodes {
+	biasHops := techBiasHops(&p.Sys)
+	for _, n := range in.Graph.Nodes {
 		if n.Kind == topology.Host {
 			continue
 		}
-		node := n.ID
-		extDeg := g.Degree(node)
-		isCube := n.Kind == topology.Cube
-		inst.routers[node].SetRoute(func(pk *packet.Packet) int {
-			if isCube && pk.Dst == node {
-				if spare, ok := inst.rehome[node]; ok && pk.Kind.IsRequest() {
-					// This cube's memory died after the packet departed:
-					// bounce it to the spare now serving the address range.
-					pk.Dst = spare
-					pk.Distance = inst.live.Dist(topology.PathShort, packet.HostNode, spare)
-					inst.fc.Bounced++
-				} else {
-					_, quad, _, _ := mapper.Decompose(pk.Addr)
-					return extDeg + quad
-				}
-			}
-			port := inst.live.NextPort(topology.PathClass(pk.Class), node, pk.Dst)
-			if port < 0 {
-				panic(fmt.Sprintf("core: no route from %d to %d", node, pk.Dst))
-			}
-			return port
-		})
-	}
-
-	// Arm the resilience machinery last so a disabled Fault config adds
-	// zero events and the golden determinism fingerprints stay intact.
-	if faultOn {
-		for i, ev := range inst.planEvents {
-			i := i
-			if ev.Kind == fault.EvRepairLink {
-				// The retraining window opens at the repair instant; the
-				// route-back and credit re-arm fire at ev.At when it
-				// closes (applyFault's EvRepairLink arm).
-				edge := ev.Edge
-				eng.At(ev.Start, func() {
-					inst.dirs[edge].ab.BeginRetrain()
-					inst.dirs[edge].ba.BeginRetrain()
-				})
-			}
-			eng.At(ev.At, func() { inst.applyFault(i) })
+		deg := in.Graph.Degree(n.ID)
+		if n.Kind == topology.Cube && deg+p.Sys.Quadrants > packet.MaxPorts {
+			return fmt.Errorf("core: cube %d: %d links plus %d quadrants exceed %d router ports",
+				n.ID, deg, p.Sys.Quadrants, packet.MaxPorts)
 		}
-		inst.Watchdog = sim.NewWatchdog(eng,
-			inst.faultCfg.WatchdogInterval, inst.faultCfg.WatchdogStale,
-			collector.Completed,
-			func() bool { return hostPort.Inflight() > 0 })
-		inst.Watchdog.Arm()
+		r, err := in.newRouter(n, scen, biasHops)
+		if err != nil {
+			return err
+		}
+		in.routers[n.ID] = r
+		for port := 0; port < deg; port++ {
+			out, arrive := in.portDirs(n.ID, port)
+			idx := r.AttachPort(link.NewBuffer(arrive.BufferDepth(), arrive.ReturnCredit), out)
+			arrive.SetDeliver(r.Deliver(idx))
+		}
+		if n.Kind == topology.Cube {
+			in.quadrants[n.ID] = in.attachQuadrants(r, n, vaultLink)
+		}
+		r.SetRoute(in.route(n))
 	}
+	return nil
+}
 
-	inst.observe()
+// attachQuadrants creates cube n's vault quadrants, each on a link pair
+// to the cube's router at the ports after its external ones.
+func (in *Instance) attachQuadrants(r *router.Router, n topology.Node, cfg link.Config) []*vault.Quadrant {
+	p := &in.Params
+	node, mapper := n.ID, in.Mapper
+	retDist := func(pk *packet.Packet) int {
+		// Responses travel the short (shortest-path) table.
+		return in.live.Dist(topology.PathShort, node, pk.Src)
+	}
+	inflight := p.Tuning.VaultMaxInflight
+	if n.Tech == config.NVM && p.Tuning.NVMMaxInflight > 0 {
+		inflight = p.Tuning.NVMMaxInflight
+	}
+	quads := make([]*vault.Quadrant, p.Sys.Quadrants)
+	for qi := range quads {
+		toQuad := link.New(in.Eng, cfg, in.Meter)
+		fromQuad := link.New(in.Eng, cfg, in.Meter)
+		q := vault.New(in.Eng, vault.Config{
+			Tech:        n.Tech,
+			Timing:      p.Sys.Timing(n.Tech),
+			Index:       qi,
+			ExtPorts:    in.Graph.Degree(node),
+			Penalty:     p.Sys.WrongQuadrantPenalty,
+			Banks:       p.Sys.BanksPerQuadrant(),
+			MaxInflight: inflight,
+			BankMap: func(a uint64) (int, int64) {
+				_, _, bank, row := mapper.Decompose(a)
+				return bank, row
+			},
+			ReturnDist: retDist,
+			Meter:      in.Meter,
+		})
+		q.Attach(link.NewBuffer(p.Tuning.VaultQueueDepth, toQuad.ReturnCredit), fromQuad)
+		toQuad.SetDeliver(q.Deliver())
+		idx := r.AttachPort(link.NewBuffer(p.Tuning.VaultQueueDepth, fromQuad.ReturnCredit), toQuad)
+		fromQuad.SetDeliver(r.Deliver(idx))
+		quads[qi] = q
+	}
+	return quads
+}
 
-	// Prime the injection process.
-	eng.Schedule(0, hostPort.Kick)
-	return inst, nil
+// route returns node n's routing function. A packet for a cube's own
+// memory leaves through the quadrant port its address selects, unless
+// the cube died after the packet departed; everything else follows the
+// live tables, which the host's write-shortcut state selects through
+// the packet's stamped class.
+func (in *Instance) route(n topology.Node) func(*packet.Packet) int {
+	node, isCube := n.ID, n.Kind == topology.Cube
+	extDeg := in.Graph.Degree(node)
+	mapper := in.Mapper
+	return func(pk *packet.Packet) int {
+		if isCube && pk.Dst == node {
+			if spare := in.rehome[node]; spare >= 0 && pk.Kind.IsRequest() {
+				// This cube's memory died after the packet departed:
+				// bounce it to the spare now serving the address range.
+				pk.Dst = spare
+				pk.Distance = in.live.Dist(topology.PathShort, packet.HostNode, spare)
+				in.fc.Bounced++
+			} else {
+				_, quad, _, _ := mapper.Decompose(pk.Addr)
+				return extDeg + quad
+			}
+		}
+		port := in.live.NextPort(topology.PathClass(pk.Class), node, pk.Dst)
+		if port < 0 {
+			panic(fmt.Sprintf("core: no route from %d to %d", node, pk.Dst))
+		}
+		return port
+	}
 }
 
 // planFaults validates the scheduled faults and repairs against the
@@ -717,40 +722,34 @@ func (in *Instance) planFaults() error {
 	if err != nil {
 		return err
 	}
-	in.planEvents = evs
-	in.planGraphs = make([]*topology.Graph, len(evs))
-	in.planSpares = make([]packet.NodeID, len(evs))
+	in.plan = make([]plannedFault, len(evs))
 
 	cur := in.Graph
 	deadCubes := make(map[packet.NodeID]bool)
 	fullDead := make(map[packet.NodeID]bool)
 	for i, ev := range evs {
+		pf := &in.plan[i]
+		pf.Event = ev
+		onCube := ev.Kind == fault.EvKillCube || ev.Kind == fault.EvRepairCube
+		if !onCube && ev.Edge >= len(in.Graph.Edges) {
+			return fmt.Errorf("core: %v on nonexistent edge %d", ev.Kind, ev.Edge)
+		}
+		// Lane events change bandwidth only; routing is untouched.
 		switch ev.Kind {
-		case fault.EvLaneFail, fault.EvLaneRepair:
-			if ev.Edge >= len(in.Graph.Edges) {
-				return fmt.Errorf("core: lane fault on nonexistent edge %d", ev.Edge)
-			}
-			// Bandwidth changes; routing is untouched.
 		case fault.EvKillLink:
-			if ev.Edge >= len(in.Graph.Edges) {
-				return fmt.Errorf("core: kill of nonexistent edge %d", ev.Edge)
-			}
 			ng, err := cur.Disable([]int{ev.Edge}, nil)
 			if err != nil {
 				e := in.Graph.Edges[ev.Edge]
 				return fmt.Errorf("core: killing link %d (%d-%d) at %v: %w",
 					ev.Edge, e.A, e.B, ev.At, err)
 			}
-			cur, in.planGraphs[i] = ng, ng
+			cur, pf.graph = ng, ng
 		case fault.EvRepairLink:
-			if ev.Edge >= len(in.Graph.Edges) {
-				return fmt.Errorf("core: repair of nonexistent edge %d", ev.Edge)
-			}
 			ng, err := cur.Enable([]int{ev.Edge}, nil)
 			if err != nil {
 				return fmt.Errorf("core: repairing link %d at %v: %w", ev.Edge, ev.At, err)
 			}
-			cur, in.planGraphs[i] = ng, ng
+			cur, pf.graph = ng, ng
 		case fault.EvKillCube:
 			if int(ev.Node) >= len(in.Graph.Nodes) ||
 				in.Graph.Nodes[ev.Node].Kind != topology.Cube {
@@ -768,7 +767,7 @@ func (in *Instance) planFaults() error {
 					return fmt.Errorf("core: full kill of cube %d at %v: %w",
 						ev.Node, ev.At, err)
 				}
-				cur, in.planGraphs[i] = ng, ng
+				cur, pf.graph = ng, ng
 				fullDead[ev.Node] = true
 			}
 			deadCubes[ev.Node] = true
@@ -776,7 +775,7 @@ func (in *Instance) planFaults() error {
 			if err != nil {
 				return fmt.Errorf("core: killing cube %d at %v: %w", ev.Node, ev.At, err)
 			}
-			in.planSpares[i] = spare
+			pf.spare = spare
 		case fault.EvRepairCube:
 			if !deadCubes[ev.Node] {
 				return fmt.Errorf("core: repair of cube %d at %v, which is not dead", ev.Node, ev.At)
@@ -786,7 +785,7 @@ func (in *Instance) planFaults() error {
 				if err != nil {
 					return fmt.Errorf("core: repairing cube %d at %v: %w", ev.Node, ev.At, err)
 				}
-				cur, in.planGraphs[i] = ng, ng
+				cur, pf.graph = ng, ng
 				delete(fullDead, ev.Node)
 			}
 			// The cube is a kill candidate and a re-home target again;
@@ -823,73 +822,68 @@ func nearestSurvivor(g *topology.Graph, victim packet.NodeID, dead map[packet.No
 
 // applyFault fires scheduled fault or repair i at its simulated time:
 // swap in the precomputed route tables, kill, degrade, or restore the
-// hardware, update the re-home map, and kick every router so stranded
+// hardware, update the re-home table, and kick every router so stranded
 // heads re-arbitrate under the new tables.
 func (in *Instance) applyFault(i int) {
-	ev := in.planEvents[i]
-	switch ev.Kind {
+	pf := &in.plan[i]
+	switch pf.Kind {
 	case fault.EvLaneFail:
-		in.dirs[ev.Edge].ab.Downbind()
-		in.dirs[ev.Edge].ba.Downbind()
+		for _, d := range in.dirs[pf.Edge] {
+			d.Downbind()
+		}
 		in.fc.LaneFails++
 		return // no routing change, no kicks needed
 	case fault.EvLaneRepair:
-		in.dirs[ev.Edge].ab.Rebind()
-		in.dirs[ev.Edge].ba.Rebind()
+		for _, d := range in.dirs[pf.Edge] {
+			d.Rebind()
+		}
 		in.fc.LaneRepairs++
 		return // bandwidth-only, like the flap down
 	case fault.EvRepairLink:
 		// Routes swap back first, so the retrained directions' space
 		// callbacks and the kicks below route onto the healed edge.
-		in.live = in.planGraphs[i]
-		in.dirs[ev.Edge].ab.CompleteRetrain()
-		in.dirs[ev.Edge].ba.CompleteRetrain()
+		in.live = pf.graph
+		for _, d := range in.dirs[pf.Edge] {
+			d.CompleteRetrain()
+		}
 		in.fc.LinksRepaired++
 	case fault.EvRepairCube:
-		if g := in.planGraphs[i]; g != nil {
-			in.live = g
+		if pf.graph != nil {
+			in.live = pf.graph
 		}
 		// New injections target the repaired cube again; packets
 		// already bounced to the spare complete there.
-		delete(in.rehome, ev.Node)
+		in.rehome[pf.Node] = -1
 		in.fc.CubesRepaired++
 	case fault.EvKillLink:
-		in.live = in.planGraphs[i]
-		e := in.Graph.Edges[ev.Edge]
+		in.live = pf.graph
 		// Drain each direction's queued and retrying packets back into
 		// the router at its sending end for re-routing. The host edge
 		// cannot be killed (it always disconnects), so both ends route.
-		ra, rb := in.routers[e.A], in.routers[e.B]
-		in.dirs[ev.Edge].ab.Fail(func(p *packet.Packet) { ra.Reinject(p) })
-		in.dirs[ev.Edge].ba.Fail(func(p *packet.Packet) { rb.Reinject(p) })
+		e := in.Graph.Edges[pf.Edge]
+		from := [2]packet.NodeID{e.A, e.B}
+		for side, d := range in.dirs[pf.Edge] {
+			d.Fail(in.routers[from[side]].Reinject)
+		}
 		in.fc.LinksKilled++
 	case fault.EvKillCube:
-		if g := in.planGraphs[i]; g != nil {
-			in.live = g
+		if pf.graph != nil {
+			in.live = pf.graph
 		}
-		spare := in.planSpares[i]
 		// Collapse chains: victims previously re-homed onto this cube
-		// move with it, so lookups stay single-level. Collect and sort
-		// the victims before rewriting so the sweep order (and any
-		// future side effects hung off it) stays deterministic.
-		var victims []packet.NodeID
-		for k, v := range in.rehome {
-			if v != ev.Node {
-				continue
+		// move with it, so lookups stay single-level.
+		for n, spare := range in.rehome {
+			if spare == pf.Node {
+				in.rehome[n] = pf.spare
 			}
-			victims = append(victims, k)
 		}
-		sort.Slice(victims, func(a, b int) bool { return victims[a] < victims[b] })
-		for _, k := range victims {
-			in.rehome[k] = spare
-		}
-		in.rehome[ev.Node] = spare
+		in.rehome[pf.Node] = pf.spare
 		in.fc.CubesKilled++
 	}
-	// Kick in deterministic node order: sweep scheduling order is part
-	// of the reproducibility guarantee for faulty runs.
-	for _, n := range in.Graph.Nodes {
-		if r := in.routers[n.ID]; r != nil {
+	// Kick in node order: sweep scheduling order is part of the
+	// reproducibility guarantee for faulty runs.
+	for _, r := range in.routers {
+		if r != nil {
 			r.Kick()
 		}
 	}
@@ -913,33 +907,43 @@ func techBiasHops(sys *config.System) int64 {
 	return b
 }
 
-// routerSettings resolves a router's arbitration policy, write
-// demotion, and crossbar bandwidth: the run-wide settings (the
-// interface-chip crossbar for a MetaCube interface) under the node's
-// scenario router override, if any.
-func routerSettings(p *Params, n topology.Node, scen *scenario.Spec) (arb.Kind, int64, int64, error) {
+// newRouter builds node n's router under the run-wide arbitration
+// policy, write demotion and crossbar bandwidth (the interface-chip
+// crossbar for a MetaCube interface), with the node's scenario router
+// override, if any, on top. Distance-augmented arbitration biases NVM
+// destinations by biasHops.
+func (in *Instance) newRouter(n topology.Node, scen *scenario.Spec, biasHops int64) (*router.Router, error) {
+	p := &in.Params
 	kind, demotion, xbar := p.Arb, p.Tuning.WriteDemotion, p.Tuning.SwitchBandwidthBps
 	if n.Kind == topology.Iface {
 		xbar = p.Tuning.IfaceSwitchBandwidthBps
 	}
-	rs, ok := scen.RouterOf(int(n.ID))
-	if !ok {
-		return kind, demotion, xbar, nil
-	}
-	if rs.Arb != "" {
-		k, err := scenario.ParseArb(rs.Arb)
-		if err != nil {
-			return 0, 0, 0, fmt.Errorf("core: routers.%d: %w", n.ID, err)
+	if rs, ok := scen.RouterOf(int(n.ID)); ok {
+		if rs.Arb != "" {
+			k, err := scenario.ParseArb(rs.Arb)
+			if err != nil {
+				return nil, fmt.Errorf("core: routers.%d: %w", n.ID, err)
+			}
+			kind = k
 		}
-		kind = k
+		if rs.WriteDemotion != nil {
+			demotion = *rs.WriteDemotion
+		}
+		if rs.SwitchBandwidthBps != nil {
+			xbar = *rs.SwitchBandwidthBps
+		}
 	}
-	if rs.WriteDemotion != nil {
-		demotion = *rs.WriteDemotion
+	cfg := arb.Config{WriteDemotion: demotion}
+	if kind == arb.DistanceAugmented {
+		mapper := in.Mapper
+		cfg.Bias = func(n packet.NodeID) int64 {
+			if mapper.Tech(n) == config.NVM {
+				return biasHops
+			}
+			return 0
+		}
 	}
-	if rs.SwitchBandwidthBps != nil {
-		xbar = *rs.SwitchBandwidthBps
-	}
-	return kind, demotion, xbar, nil
+	return router.New(in.Eng, n.ID, arb.New(kind, cfg), xbar), nil
 }
 
 // linkConfig applies a scenario link's overrides to the edge's default
@@ -960,15 +964,6 @@ func linkConfig(cfg link.Config, l scenario.Link) link.Config {
 		cfg.NoVCPriority = *l.VCs == 1
 	}
 	return cfg
-}
-
-// linkFault applies a scenario link's retry-budget override to one
-// direction's fault state (nil when the direction has none).
-func linkFault(f *fault.LinkFault, l scenario.Link) *fault.LinkFault {
-	if f != nil && l.MaxRetries != nil {
-		f.MaxRetries = *l.MaxRetries
-	}
-	return f
 }
 
 // Results summarizes a completed run.
@@ -1054,17 +1049,17 @@ func (in *Instance) Run() (Results, error) {
 // bookkeeping, every external link direction, and every router.
 func (in *Instance) FaultCounters() stats.FaultCounters {
 	fc := in.fc
-	for _, d := range in.dirs {
-		for _, dir := range [2]*link.Direction{d.ab, d.ba} {
-			s := dir.Stats()
+	for _, pair := range in.dirs {
+		for _, d := range pair {
+			s := d.Stats()
 			fc.CRCErrors += s.CRCErrors
 			fc.Retries += s.Retries
 			fc.Dropped += s.Dropped
-			fc.HealedBits += dir.HealedBits()
+			fc.HealedBits += d.HealedBits()
 		}
 	}
-	for _, n := range in.Graph.Nodes {
-		if r := in.routers[n.ID]; r != nil {
+	for _, r := range in.routers {
+		if r != nil {
 			fc.Rerouted += r.Rerouted
 		}
 	}

@@ -204,10 +204,11 @@ func TestGoldenSchedulePins(t *testing.T) {
 // TestGoldenBuildStages pins fixed-seed Results for the build paths the
 // plain pins leave out: a 50%-NVM skip list under a seeded bit-error
 // rate, a lane flap, a link kill and repair and a cube kill and repair,
-// with hot-block migration on; and a scenario whose links override
-// bandwidth, SerDes latency, buffer depth and VC count and whose
-// routers override arbitration, write demotion and crossbar bandwidth.
-// The values were recorded before core.Build was split into stages.
+// with hot-block migration on; a ring link killed with packets queued on
+// it; and a scenario whose links override bandwidth, SerDes latency,
+// buffer depth and VC count and whose routers override arbitration,
+// write demotion and crossbar bandwidth. The values were recorded
+// before core.Build was split into stages.
 func TestGoldenBuildStages(t *testing.T) {
 	runGolden(t, []goldenRun{
 		{"SkipList/FaultsMigration", "KMEANS", topology.SkipList, arb.DistanceAugmented, 0.5, Tuning{}, nil, Results{Label: "50%-SL (NVM-L)", Workload: "KMEANS", FinishTime: 7747796, MeanLatency: 98105,
@@ -231,6 +232,20 @@ func TestGoldenBuildStages(t *testing.T) {
 			// moves with it.
 			KillCubes:   []fault.CubeKill{{Node: 6, At: 1300 * sim.Nanosecond}, {Node: 5, At: 1600 * sim.Nanosecond}},
 			RepairCubes: []fault.CubeRepair{{Node: 6, At: 3000 * sim.Nanosecond}, {Node: 5, At: 3500 * sim.Nanosecond}},
+		}
+	})
+	// Killed while its queues hold packets: the link's sending ends
+	// salvage them into their routers (Rerouted).
+	runGolden(t, []goldenRun{
+		{"Ring/SalvageKill", "BACKPROP", topology.Ring, arb.RoundRobin, 1, Tuning{}, nil, Results{Label: "100%-R", Workload: "BACKPROP", FinishTime: 6361201, MeanLatency: 92928,
+			Breakdown:    stats.Breakdown{ToMem: 40771, InMem: 30842, FromMem: 21315},
+			Energy:       energy.Breakdown{NetworkPJ: 4.150528e+07, ReadPJ: 2.562048e+06, WritePJ: 9.725952e+06},
+			Transactions: 2000, Reads: 417, Writes: 1583, MeanHops: 5.4825, Events: 128329,
+			Fault: stats.FaultCounters{Rerouted: 2, LinksKilled: 1, LinksRepaired: 1, HealedBits: 382592}}},
+	}, func(p *Params) {
+		p.Fault = &fault.Config{
+			KillLinks:   []fault.LinkKill{{Edge: 1, At: 2200 * sim.Nanosecond}},
+			RepairLinks: []fault.LinkRepair{{Edge: 1, At: 3 * sim.Microsecond}},
 		}
 	})
 	runGolden(t, []goldenRun{

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -115,12 +114,8 @@ func (in *Instance) observe() {
 	for _, n := range g.Nodes {
 		deg := g.Degree(n.ID)
 		for port := 0; port < deg; port++ {
-			ei := g.EdgeIndex(n.ID, port)
-			d, from := in.dirs[ei].ab, g.Edges[ei].A
-			if from == n.ID {
-				d, from = in.dirs[ei].ba, g.Edges[ei].B
-			}
-			edge := label(name(from), ">", name(n.ID))
+			_, d := in.portDirs(n.ID, port)
+			edge := label(name(g.Neighbor(n.ID, port)), ">", name(n.ID))
 			if n.Kind == topology.Host {
 				land(d, trace.Complete, n.ID, -1, edge)
 			} else {
@@ -165,20 +160,16 @@ type NodeReport struct {
 	Banks mem.BankStats
 }
 
-// Report builds per-node reports sorted by node ID. Nodes are walked
-// in graph order (not router-map order) so the report is deterministic
-// end to end.
+// Report builds per-node reports in node-ID order, one per router.
 func (in *Instance) Report() []NodeReport {
 	out := make([]NodeReport, 0, len(in.routers))
-	for _, node := range in.Graph.Nodes {
-		id := node.ID
-		r := in.routers[id]
+	for id, r := range in.routers {
 		if r == nil {
 			continue
 		}
 		nr := NodeReport{
-			Node:      id,
-			Kind:      node.Kind,
+			Node:      packet.NodeID(id),
+			Kind:      in.Graph.Nodes[id].Kind,
 			Forwarded: r.Forwarded[packet.VCRequest] + r.Forwarded[packet.VCResponse],
 			Contended: r.Contended,
 			InputWait: r.TotalInputWait(),
@@ -204,7 +195,6 @@ func (in *Instance) Report() []NodeReport {
 		}
 		out = append(out, nr)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
 }
 
@@ -227,12 +217,11 @@ func (in *Instance) WedgeDump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "wedge dump at %v: %d in flight, %d completed\n",
 		in.Eng.Now(), in.Port.Inflight(), in.Collector.Completed())
-	for _, n := range in.Graph.Nodes {
-		r := in.routers[n.ID]
+	for id, r := range in.routers {
 		if r == nil {
 			continue
 		}
-		fmt.Fprintf(&b, "node %d (%v):", n.ID, n.Kind)
+		fmt.Fprintf(&b, "node %d (%v):", id, in.Graph.Nodes[id].Kind)
 		if bl := r.RerouteBacklog(); bl > 0 {
 			fmt.Fprintf(&b, " reroute-backlog=%d", bl)
 		}

@@ -236,16 +236,16 @@ func TestScenarioLinkWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !inst.dirs[0].ab.VCRoundRobin() || !inst.dirs[0].ba.VCRoundRobin() {
+	if !inst.dirs[0][0].VCRoundRobin() || !inst.dirs[0][1].VCRoundRobin() {
 		t.Error("vcs:1 override did not disable VC priority on link 0")
 	}
-	if inst.dirs[1].ab.VCRoundRobin() {
+	if inst.dirs[1][0].VCRoundRobin() {
 		t.Error("vcs override leaked onto link 1")
 	}
-	if got := inst.dirs[2].ab.Bandwidth(); got != bw {
+	if got := inst.dirs[2][0].Bandwidth(); got != bw {
 		t.Errorf("link 2 bandwidth = %d, want %d", got, bw)
 	}
-	if got := inst.dirs[2].ab.SerDes(); got != sim.Time(ser)*sim.Picosecond {
+	if got := inst.dirs[2][0].SerDes(); got != sim.Time(ser)*sim.Picosecond {
 		t.Errorf("link 2 serdes = %v, want %dps", got, ser)
 	}
 }

@@ -66,28 +66,29 @@ type TimelineEvent struct {
 // timeline entries, annotating link repairs with their retrain window
 // and the per-direction healed-bits counters.
 func (in *Instance) timeline() []TimelineEvent {
-	if len(in.planEvents) == 0 {
+	if len(in.plan) == 0 {
 		return nil
 	}
-	out := make([]TimelineEvent, 0, len(in.planEvents))
-	for _, ev := range in.planEvents {
-		te := TimelineEvent{Kind: ev.Kind.String(), AtPs: int64(ev.At)}
-		switch ev.Kind {
+	out := make([]TimelineEvent, 0, len(in.plan))
+	for _, pf := range in.plan {
+		te := TimelineEvent{Kind: pf.Kind.String(), AtPs: int64(pf.At)}
+		switch pf.Kind {
 		case fault.EvKillCube, fault.EvRepairCube:
-			node := int(ev.Node)
+			node := int(pf.Node)
 			te.Node = &node
 		default:
-			edge := ev.Edge
+			edge := pf.Edge
 			te.Edge = &edge
 		}
-		if ev.Kind == fault.EvRepairLink {
-			start := int64(ev.Start)
+		if pf.Kind == fault.EvRepairLink {
+			start := int64(pf.Start)
 			te.StartPs = &start
-			if ev.Edge >= 0 && ev.Edge < len(in.dirs) {
-				ab := in.dirs[ev.Edge].ab.HealedBits()
-				ba := in.dirs[ev.Edge].ba.HealedBits()
-				te.HealedBitsAB = &ab
-				te.HealedBitsBA = &ba
+			if pf.Edge >= 0 && pf.Edge < len(in.dirs) {
+				var healed [2]uint64
+				for side, d := range in.dirs[pf.Edge] {
+					healed[side] = d.HealedBits()
+				}
+				te.HealedBitsAB, te.HealedBitsBA = &healed[0], &healed[1]
 			}
 		}
 		out = append(out, te)

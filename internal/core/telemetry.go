@@ -131,10 +131,9 @@ func buildTelemetry(in *Instance, cfg *obs.Config) {
 
 	// External links: occupancy, credit stalls, retry traffic, and lane
 	// state per direction, in edge-index order.
-	for ei := range in.dirs {
-		for di, dir := range [2]*link.Direction{in.dirs[ei].ab, in.dirs[ei].ba} {
-			d := dir
-			prefix := fmt.Sprintf("edge%d.%s", ei, [2]string{"ab", "ba"}[di])
+	for ei, pair := range in.dirs {
+		for side, d := range pair {
+			prefix := fmt.Sprintf("edge%d.%s", ei, [2]string{"ab", "ba"}[side])
 			reg.Gauge(prefix+".busy_ps", func() int64 {
 				return int64(d.Stats().BusyTime)
 			})
@@ -168,26 +167,27 @@ func buildTelemetry(in *Instance, cfg *obs.Config) {
 	// probes read the same state the fault layer mutates, so the series
 	// shows each outage opening and closing.
 	dirs := in.dirs
-	reg.Gauge("fault.links_down", func() int64 {
-		var n int64
-		for _, d := range dirs {
-			if d.ab.State() == link.Down || d.ba.State() == link.Down {
-				n++
+	linksIn := func(s link.State) func() int64 {
+		return func() int64 {
+			var n int64
+			for _, pair := range dirs {
+				if pair[0].State() == s || pair[1].State() == s {
+					n++
+				}
 			}
+			return n
 		}
-		return n
-	})
-	reg.Gauge("fault.links_retraining", func() int64 {
-		var n int64
-		for _, d := range dirs {
-			if d.ab.State() == link.Retraining || d.ba.State() == link.Retraining {
-				n++
-			}
-		}
-		return n
-	})
+	}
+	reg.Gauge("fault.links_down", linksIn(link.Down))
+	reg.Gauge("fault.links_retraining", linksIn(link.Retraining))
 	reg.Gauge("fault.cubes_rehomed", func() int64 {
-		return int64(len(in.rehome))
+		var n int64
+		for _, spare := range in.rehome {
+			if spare >= 0 {
+				n++
+			}
+		}
+		return n
 	})
 
 	t.Sampler = reg.StartSampler(eng, cfg.Interval())

@@ -176,26 +176,27 @@ func New(eng *sim.Engine, cfg Config, gen workload.Generator, wire Wiring, colle
 	return p
 }
 
-// Attach wires the port's outgoing direction (toward the root cube) and
-// registers for its space callbacks.
-func (p *Port) Attach(out *link.Direction) {
+// Attach wires the port's link to the root cube: it sends on out, and it
+// owns in's receive end, where each response retires on arrival (the
+// host's receive buffering is ample) and its credit goes straight back.
+func (p *Port) Attach(out, in *link.Direction) {
 	p.out = out
 	out.SetOnSpace(func(packet.VC) { p.Kick() })
+	in.SetDeliver(func(pk *packet.Packet) {
+		vc := packet.VCOf(pk.Kind) // read before retire recycles pk
+		p.retire(pk)
+		in.ReturnCredit(vc)
+	})
 }
 
 // SetObserver installs the port's injection observer; nil removes it.
 func (p *Port) SetObserver(o packet.Observer) { p.obs = o }
 
-// Receive is the arrival callback for the root-cube-to-host direction;
-// the host consumes responses immediately (its receive buffering is
-// ample), so the caller should return the link credit right after.
-// Network statistics are recorded at arrival; the window slot and any
-// coherence entry are released only after the processor-side latency.
-//
-// Receive takes ownership of pk and returns it to the port's packet
-// pool: the caller must read any header fields it needs (e.g. the VC for
-// the credit return) before calling.
-func (p *Port) Receive(pk *packet.Packet) {
+// retire completes the transaction pk answers. Network statistics are
+// recorded at arrival; the window slot and any coherence entry are
+// released only after the processor-side latency. retire takes
+// ownership of pk and returns it to the port's packet pool.
+func (p *Port) retire(pk *packet.Packet) {
 	pk.Completed = p.eng.Now()
 	p.collector.Complete(pk)
 	kind, id, logical := pk.Kind, pk.ID, pk.Logical

@@ -36,8 +36,8 @@ type echoNet struct {
 	out     *link.Direction
 	back    *link.Direction
 	latency sim.Time
-	// received snapshots each completed packet at response delivery,
-	// just before Receive recycles it into the port's pool.
+	// received snapshots each completed packet as it lands at the port,
+	// just before the port retires it into its pool.
 	received []packet.Packet
 }
 
@@ -60,7 +60,8 @@ func newEchoNet(t *testing.T, cfg Config, gen workload.Generator, latency sim.Ti
 		QueueDepth: 8, Credits: 8, CountHop: true}
 	n.out = link.New(eng, lcfg, nil)
 	n.back = link.New(eng, lcfg, nil)
-	n.port.Attach(n.out)
+	n.port.Attach(n.out, n.back)
+	n.back.SetObserver(landObserver(func(p *packet.Packet) { n.received = append(n.received, *p) }))
 	n.out.SetDeliver(func(p *packet.Packet) {
 		n.out.ReturnCredit(packet.VCOf(p.Kind))
 		// Respond after the fixed service latency.
@@ -74,14 +75,6 @@ func newEchoNet(t *testing.T, cfg Config, gen workload.Generator, latency sim.Ti
 				eng.Schedule(10*sim.Nanosecond, func() { n.back.Send(p) })
 			}
 		})
-	})
-	n.back.SetDeliver(func(p *packet.Packet) {
-		// Receive consumes (and recycles) the packet: snapshot it and
-		// read the VC first.
-		n.received = append(n.received, *p)
-		vc := packet.VCOf(p.Kind)
-		n.port.Receive(p)
-		n.back.ReturnCredit(vc)
 	})
 	eng.Schedule(0, n.port.Kick)
 	return n
@@ -106,6 +99,10 @@ func TestCompletesTarget(t *testing.T) {
 	}
 	if n.port.Inflight() != 0 {
 		t.Fatalf("inflight %d at end", n.port.Inflight())
+	}
+	// The port returned every response credit it was delivered.
+	if got := n.back.Credits(packet.VCResponse); got != 8 {
+		t.Fatalf("response credits %d at end, want 8", got)
 	}
 }
 
@@ -366,6 +363,16 @@ func (injectObserver) Ship(*packet.Packet, sim.Time, sim.Time, sim.Time, sim.Tim
 func (injectObserver) Land(*packet.Packet)                                         {}
 func (injectObserver) Grant(*packet.Packet, int, sim.Time)                         {}
 func (injectObserver) Issue(*packet.Packet, sim.Time)                              {}
+
+// landObserver is a packet.Observer that hands every landing packet to
+// the function.
+type landObserver func(pk *packet.Packet)
+
+func (landObserver) Inject(*packet.Packet, sim.Time)                             {}
+func (landObserver) Ship(*packet.Packet, sim.Time, sim.Time, sim.Time, sim.Time) {}
+func (f landObserver) Land(pk *packet.Packet)                                    { f(pk) }
+func (landObserver) Grant(*packet.Packet, int, sim.Time)                         {}
+func (landObserver) Issue(*packet.Packet, sim.Time)                              {}
 
 // TestOnInjectHook: the port's observer sees each packet once, at its
 // injection instant, with the window wait that preceded it.

@@ -81,7 +81,7 @@ func run(pass *analysis.Pass) (any, error) {
 
 	// Obligations are checked only in simulation packages; summaries are
 	// computed everywhere (internal/packet is not simulation code, but
-	// its Pool.Put fact is what proves host.Port.Receive an owner).
+	// its Pool.Put fact is what proves host.Port.retire an owner).
 	if !lintutil.SimPackage(pass.Pkg.Path()) {
 		return nil, nil
 	}

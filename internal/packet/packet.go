@@ -130,6 +130,7 @@ type Packet struct {
 	// through; the destination cube uses it to apply the wrong-quadrant
 	// routing penalty (a request that lands on a link not associated
 	// with its target quadrant pays 1 ns of intra-cube routing).
+	// It is an int8, so a router has at most MaxPorts ports.
 	EnterPort int8
 
 	// Class is the routing class (topology.PathClass) stamped when the
@@ -186,6 +187,11 @@ func (p *Packet) MakeResponse(returnDistance int) {
 	// Responses always take shortest paths (PathShort = 0).
 	p.Class = 0
 }
+
+// MaxPorts bounds the ports of any node's router, vault ports included:
+// EnterPort, the topology's next-hop tables and trace.Event.Port hold a
+// port index as an int8.
+const MaxPorts = 128
 
 // Observer watches packets cross the event boundaries the components
 // already have. A component holds one nilable Observer and calls it only

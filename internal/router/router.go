@@ -124,9 +124,13 @@ func (r *Router) NumPorts() int { return len(r.in) }
 
 // AttachPort adds a port and returns its index. in receives packets from
 // the neighbor; out sends toward the neighbor. The router registers
-// itself for out's space-available callbacks.
+// itself for out's space-available callbacks. A router has at most
+// packet.MaxPorts ports: Deliver stamps the index into an int8.
 func (r *Router) AttachPort(in *link.Buffer, out *link.Direction) int {
 	idx := len(r.in)
+	if idx >= packet.MaxPorts {
+		panic(fmt.Sprintf("router: node %d: more than %d ports", r.node, packet.MaxPorts))
+	}
 	r.in = append(r.in, in)
 	r.out = append(r.out, out)
 	out.SetOnSpace(func(packet.VC) { r.Kick() })

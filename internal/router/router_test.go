@@ -214,3 +214,26 @@ func TestReinjectWaitsForSpace(t *testing.T) {
 		t.Fatalf("packet not released after table swap: %v", h.sunk)
 	}
 }
+
+// TestAttachPortLimit: a router takes packet.MaxPorts ports, whose
+// indices fit packet.EnterPort, and panics on the next one rather than
+// let Deliver wrap the int8.
+func TestAttachPortLimit(t *testing.T) {
+	eng := sim.NewEngine()
+	r := New(eng, 1, arb.New(arb.RoundRobin, arb.Config{}), 0)
+	cfg := link.Config{BandwidthBps: 240e9, QueueDepth: 1, Credits: 1}
+	attach := func() int {
+		return r.AttachPort(link.NewBuffer(1, func(packet.VC) {}), link.New(eng, cfg, nil))
+	}
+	for i := 0; i < packet.MaxPorts; i++ {
+		if idx := attach(); idx != i {
+			t.Fatalf("port %d attached at index %d", i, idx)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("port %d attached past the %d-port limit", packet.MaxPorts, packet.MaxPorts)
+		}
+	}()
+	attach()
+}

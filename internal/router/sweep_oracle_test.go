@@ -92,7 +92,7 @@ func newSweepRig(seed uint64, oracle bool) *sweepRig {
 	case 0, 1, 2, 3, 4:
 		n = 2 + rng.Intn(3) // few ports: every output blocked at once is common
 	case 5:
-		n = 60 + rng.Intn(80) // bitsets of more than one word
+		n = 60 + rng.Intn(69) // bitsets of more than one word, up to packet.MaxPorts
 	}
 	g := &sweepRig{eng: sim.NewEngine(), rng: rng, oracle: oracle, n: n,
 		resp: [...]int{10, 50, 90}[rng.Intn(3)]}

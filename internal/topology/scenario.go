@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -92,6 +93,11 @@ func BuildScenario(s *scenario.Spec) (*Graph, error) {
 		b.link(packet.NodeID(a), packet.NodeID(c), l.Express, l.Interposer)
 	}
 	g, err := b.finish()
+	var over *budgetError
+	if errors.As(err, &over) && over.node != packet.HostNode {
+		i := int(over.node) - 1 // node IDs follow declaration order after the host
+		return nil, fmt.Errorf("scenario: nodes[%d] %q: exceeds %d ports (%d)", i, s.Nodes[i].Name, over.limit, over.ports)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}

@@ -102,7 +102,7 @@ func TestBuildScenarioRejects(t *testing.T) {
 	// ahead of graph construction.
 	s := twoPodSpec()
 	s.Links = append(s.Links, scenario.Link{A: "a0", B: "b2"})
-	if _, err := BuildScenario(s); err == nil || !strings.Contains(err.Error(), "exceeds") {
+	if _, err := BuildScenario(s); err == nil || !strings.Contains(err.Error(), `nodes[0] "a0": exceeds 4 ports (5)`) {
 		t.Fatalf("over-budget cube not rejected: %v", err)
 	}
 	// Router port budget: an interface hub linking the host and 130
@@ -115,7 +115,7 @@ func TestBuildScenarioRejects(t *testing.T) {
 		s.Nodes = append(s.Nodes, scenario.Node{Name: c})
 		s.Links = append(s.Links, scenario.Link{A: "hub", B: c})
 	}
-	if _, err := BuildScenario(s); err == nil || !strings.Contains(err.Error(), "node 1 exceeds 128 ports") {
+	if _, err := BuildScenario(s); err == nil || !strings.Contains(err.Error(), `scenario: nodes[0] "hub": exceeds 128 ports (131)`) {
 		t.Fatalf("131-port hub not rejected: %v", err)
 	}
 	// Spec-level validation errors surface through BuildScenario too.

@@ -170,11 +170,6 @@ type half struct {
 // MaxCubePorts is the external-link budget of a memory cube package.
 const MaxCubePorts = 4
 
-// MaxPorts bounds the ports of any node's router, vault ports included:
-// next-hop tables, packet.EnterPort and trace.Event.Port hold a port
-// index as an int8.
-const MaxPorts = 128
-
 // Graph is an immutable built topology with routing tables.
 type Graph struct {
 	Kind  Kind
@@ -532,14 +527,13 @@ func (b *builder) finish() (*Graph, error) {
 	}
 	for _, n := range g.Nodes {
 		d := len(g.adj[n.ID])
-		if d > MaxPorts {
-			return nil, fmt.Errorf("topology: node %d exceeds %d ports (%d)", n.ID, MaxPorts, d)
+		if d > packet.MaxPorts {
+			return nil, &budgetError{node: n.ID, what: "node", limit: packet.MaxPorts, ports: d}
 		}
 		switch n.Kind {
 		case Cube:
 			if d > MaxCubePorts {
-				return nil, fmt.Errorf(
-					"topology: cube %d exceeds %d ports (%d)", n.ID, MaxCubePorts, d)
+				return nil, &budgetError{node: n.ID, what: "cube", limit: MaxCubePorts, ports: d}
 			}
 		case Host:
 			if d != 1 {
@@ -548,6 +542,20 @@ func (b *builder) finish() (*Graph, error) {
 		}
 	}
 	return g, nil
+}
+
+// budgetError is a node over its port budget: packet.MaxPorts for any
+// router, MaxCubePorts for a cube package. BuildScenario renames the
+// node after its declaration.
+type budgetError struct {
+	node  packet.NodeID
+	what  string // "node" or "cube"
+	limit int
+	ports int
+}
+
+func (e *budgetError) Error() string {
+	return fmt.Sprintf("topology: %s %d exceeds %d ports (%d)", e.what, e.node, e.limit, e.ports)
 }
 
 // rebuild recomputes adjacency and routing tables from Nodes/Edges.
