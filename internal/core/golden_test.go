@@ -106,14 +106,9 @@ func runGolden(t *testing.T, runs []goldenRun, setup ...func(*Params)) {
 // state leaking between instances (e.g. through a shared pool or a
 // package-level cache): two builds of the same params must agree exactly.
 func TestGoldenRunTwice(t *testing.T) {
-	var wl workload.Spec
-	for _, s := range workload.Suite() {
-		if s.Name == "SRAD" {
-			wl = s
-		}
-	}
-	if wl.Name == "" {
-		wl = workload.Suite()[0]
+	wl, err := workload.ByName("HOTSPOT")
+	if err != nil {
+		t.Fatal(err)
 	}
 	p := Params{
 		Sys:          config.Default(),

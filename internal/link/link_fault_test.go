@@ -73,6 +73,14 @@ func TestRetryExhaustionDrops(t *testing.T) {
 	}
 }
 
+// runTo runs eng until a marker event scheduled now for time t fires:
+// every event before t, and those at t scheduled before the marker.
+func runTo(eng *sim.Engine, t sim.Time) {
+	reached := false
+	eng.At(t, func() { reached = true })
+	eng.RunWhile(func() bool { return !reached })
+}
+
 // TestRetryHoldsCredit: a packet parked in the retry buffer keeps its
 // receiver credit reserved until it finally lands.
 func TestRetryHoldsCredit(t *testing.T) {
@@ -85,7 +93,7 @@ func TestRetryHoldsCredit(t *testing.T) {
 	d.Send(mkPacket(1, packet.ReadReq))
 	// Let a few retry rounds elapse; the single credit must stay consumed
 	// the whole time the packet shuttles through the retry buffer.
-	eng.RunUntil(200 * sim.Nanosecond)
+	runTo(eng, 200*sim.Nanosecond)
 	if got := d.Credits(packet.VCRequest); got != 0 {
 		t.Fatalf("retrying packet released its credit: %d available", got)
 	}
@@ -161,7 +169,7 @@ func TestFailDrainsRetryBuffer(t *testing.T) {
 	p := mkPacket(1, packet.ReadReq)
 	d.Send(p)
 	// Run past the first corruption so the packet is in the retry buffer.
-	eng.RunUntil(5 * sim.Nanosecond)
+	runTo(eng, 5*sim.Nanosecond)
 	if d.RetryLen() != 1 {
 		t.Fatalf("retry buffer len %d, want 1", d.RetryLen())
 	}

@@ -73,7 +73,7 @@ func TestRetrainResetsRetryState(t *testing.T) {
 	d.AttachFault(fault.NewLinkFault(1, 1.0, 0, 8*sim.Nanosecond))
 	d.SetDeliver(func(*packet.Packet) { t.Fatal("corrupted packet delivered") })
 	d.Send(mkPacket(1, packet.ReadReq))
-	eng.RunUntil(5 * sim.Nanosecond) // past the first corruption: packet parked
+	runTo(eng, 5*sim.Nanosecond) // past the first corruption: packet parked
 	if d.RetryLen() != 1 {
 		t.Fatalf("retry buffer len %d, want 1", d.RetryLen())
 	}

@@ -34,6 +34,14 @@ func newTestManager(t *testing.T) (*sim.Engine, *Manager, *energy.Meter) {
 	return eng, m, meter
 }
 
+// runTo runs eng until a marker event scheduled now for time t fires:
+// every event before t, and those at t scheduled before the marker.
+func runTo(eng *sim.Engine, t sim.Time) {
+	reached := false
+	eng.At(t, func() { reached = true })
+	eng.RunWhile(func() bool { return !reached })
+}
+
 func TestIdentityBeforeMigration(t *testing.T) {
 	_, m, _ := newTestManager(t)
 	for _, a := range []uint64{0, 255, 1 << 21, 1<<21 + 100} {
@@ -56,7 +64,7 @@ func TestHotNVMBlockMigrates(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		m.Observe(hot)
 	}
-	eng.RunUntil(1100 * sim.Nanosecond) // cross the epoch boundary
+	runTo(eng, 1100*sim.Nanosecond) // cross the epoch boundary
 
 	if m.Stats().Swaps != 1 {
 		t.Fatalf("swaps = %d, want 1", m.Stats().Swaps)
@@ -92,7 +100,7 @@ func TestColdNVMBlockStays(t *testing.T) {
 	m.Observe(4096) // victim candidate
 	m.Observe(1 << 21)
 	m.Observe(1 << 21) // only 2 accesses: below threshold
-	eng.RunUntil(1100 * sim.Nanosecond)
+	runTo(eng, 1100*sim.Nanosecond)
 	if m.Stats().Swaps != 0 {
 		t.Fatal("cold block migrated")
 	}
@@ -103,7 +111,7 @@ func TestHotDRAMBlockStays(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m.Observe(0) // hot but already on DRAM
 	}
-	eng.RunUntil(1100 * sim.Nanosecond)
+	runTo(eng, 1100*sim.Nanosecond)
 	if m.Stats().Swaps != 0 {
 		t.Fatal("DRAM-resident block migrated")
 	}
@@ -117,7 +125,7 @@ func TestHotVictimIsSpared(t *testing.T) {
 		m.Observe(victim) // the candidate gets hot itself
 		m.Observe(1 << 21)
 	}
-	eng.RunUntil(1100 * sim.Nanosecond)
+	runTo(eng, 1100*sim.Nanosecond)
 	if m.Translate(victim) != victim {
 		t.Fatal("hot DRAM block was evicted")
 	}
@@ -129,11 +137,11 @@ func TestBlackoutExpires(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		m.Observe(1 << 21)
 	}
-	eng.RunUntil(1100 * sim.Nanosecond)
+	runTo(eng, 1100*sim.Nanosecond)
 	if m.ReadyAt(1<<21) == 0 {
 		t.Fatal("expected blackout")
 	}
-	eng.RunUntil(1500 * sim.Nanosecond)
+	runTo(eng, 1500*sim.Nanosecond)
 	if m.ReadyAt(1<<21) != 0 {
 		t.Fatal("blackout should have expired")
 	}
@@ -154,7 +162,7 @@ func TestSwapBudget(t *testing.T) {
 			m.Observe(hot)
 		}
 	}
-	eng.RunUntil(1100 * sim.Nanosecond)
+	runTo(eng, 1100*sim.Nanosecond)
 	if m.Stats().Swaps != 3 {
 		t.Fatalf("swaps = %d, want 3 (budget)", m.Stats().Swaps)
 	}
@@ -162,7 +170,7 @@ func TestSwapBudget(t *testing.T) {
 
 func TestEpochsRearm(t *testing.T) {
 	eng, m, _ := newTestManager(t)
-	eng.RunUntil(5500 * sim.Nanosecond)
+	runTo(eng, 5500*sim.Nanosecond)
 	if m.Stats().Epochs != 5 {
 		t.Fatalf("epochs = %d, want 5", m.Stats().Epochs)
 	}
@@ -185,7 +193,7 @@ func TestSwapChainsStayBijective(t *testing.T) {
 	m.Observe(v1)
 	m.Observe(h)
 	m.Observe(h)
-	eng.RunUntil(1100 * sim.Nanosecond)
+	runTo(eng, 1100*sim.Nanosecond)
 	if m.Stats().Swaps != 1 {
 		t.Fatalf("epoch1 swaps = %d", m.Stats().Swaps)
 	}
@@ -195,7 +203,7 @@ func TestSwapChainsStayBijective(t *testing.T) {
 	m.Observe(v2)
 	m.Observe(v1)
 	m.Observe(v1)
-	eng.RunUntil(2100 * sim.Nanosecond)
+	runTo(eng, 2100*sim.Nanosecond)
 	if m.Stats().Swaps != 2 {
 		t.Fatalf("epoch2 swaps = %d", m.Stats().Swaps)
 	}

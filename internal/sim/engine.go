@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Handler is a callback invoked when an event fires. The engine's current
 // time equals the event's scheduled time for the duration of the call.
@@ -14,16 +17,20 @@ type Handler func()
 // allocation-free.
 type ArgHandler func(arg any)
 
-// event is a scheduled callback. Events with equal times fire in the
-// order they were scheduled (seq provides the stable tie-break), which
-// makes whole-system simulations deterministic. Exactly one of fn/afn is
-// set.
+// event is a scheduled callback. Exactly one of fn/afn is set.
 type event struct {
 	at  Time
-	seq uint64
 	fn  Handler
 	afn ArgHandler
 	arg any
+}
+
+// node is one slot of the radix queue's node slice: a pending event and
+// the index of the next node in its bucket (or in the free list).
+// Index 0 is a sentinel, so 0 means "none".
+type node struct {
+	event
+	next int32
 }
 
 // Engine is a single-threaded discrete-event scheduler.
@@ -33,32 +40,44 @@ type event struct {
 // parallelism, when wanted, is obtained by running independent Engines
 // (e.g. one per memory port, or one per benchmark configuration).
 //
-// Internally the engine keeps two structures:
+// Events fire in (time, scheduling order): equal-time events run in the
+// order they were scheduled, which makes whole-system simulations
+// deterministic. Internally the engine keeps two structures:
 //
-//   - a hand-rolled 4-ary min-heap over a flat []event slice, ordered by
-//     (time, seq). Compared with container/heap this removes the
-//     interface{} boxing on every Push/Pop and the heap.Interface method
-//     indirection, and the shallower tree halves the sift depth for the
-//     queue sizes simulations reach. Popped and vacated slots are zeroed
-//     so captured closures and packets stay GC-able.
+//   - a monotone radix heap for future events. Bucket k holds the
+//     pending events whose time first differs from last (the time of
+//     the last refill) in bit k-1; bucket 0 holds time == last. Buckets
+//     are FIFO lists threaded through one node slice. A push appends to
+//     its bucket in O(1); when bucket 0 runs dry, the lowest non-empty
+//     bucket is scanned for its minimum time, which becomes last, and
+//     its events are relinked, in order, into the lower buckets (all
+//     empty). Equal-time events always share a bucket and no bucket is
+//     ever reordered, so the queue fires them in scheduling order
+//     without a sequence counter. Popped nodes are zeroed so handlers
+//     and packets stay GC-able.
 //
 //   - a zero-delay FIFO "fast lane" (a ring buffer) holding events
 //     scheduled for the current instant. Same-timestamp follow-on events
 //     — the dominant pattern in router/link/vault handoffs — enqueue and
-//     dequeue in O(1) without touching the heap at all.
+//     dequeue in O(1) without touching the radix heap at all.
 //
-// The two structures preserve the global (time, seq) firing order: any
-// heap event at the current instant was necessarily scheduled before time
-// advanced to that instant, hence carries a smaller seq than every lane
-// event (which was scheduled at the instant itself), so the heap is
-// drained of current-time events before the lane.
+// Bucket-0 events are at the current instant and were scheduled before
+// the clock reached it, so they precede every lane event (which was
+// scheduled at the instant itself): bucket 0 drains before the lane.
 type Engine struct {
 	now   Time
-	seq   uint64
 	fired uint64
 
-	// heap is the 4-ary min-heap: children of i are 4i+1..4i+4.
-	heap []event
+	// Radix heap: last is the time of the last refill, mask bit k marks
+	// a non-empty bucket k, and first/tail are the bucket lists' end
+	// nodes. free heads the list of recycled nodes; queued counts the
+	// events in the buckets.
+	last        Time
+	mask        uint64
+	first, tail [64]int32
+	nodes       []node
+	free        int32
+	queued      int
 
 	// lane is the zero-delay ring buffer; capacity is a power of two.
 	lane     []event
@@ -67,10 +86,10 @@ type Engine struct {
 
 	// probe is the telemetry sampling hook: it runs at every multiple
 	// of probeEvery the clock crosses, between events, without being an
-	// event itself — probes never enter the queue, never consume seq
-	// numbers, and never count toward fired, so arming one cannot
-	// change what the simulation does or reports. Probes are read-only
-	// observers: scheduling from inside one panics.
+	// event itself — probes never enter the queue and never count
+	// toward fired, so arming one cannot change what the simulation
+	// does or reports. Probes are read-only observers: scheduling from
+	// inside one panics.
 	probe      func(at Time)
 	probeEvery Time
 	probeAt    Time
@@ -88,7 +107,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.heap) + e.laneLen }
+func (e *Engine) Pending() int { return e.queued + e.laneLen }
 
 // Schedule arranges for fn to run after delay. A zero delay schedules the
 // event at the current time; it will still run after the currently
@@ -130,10 +149,10 @@ func (e *Engine) AtArg(t Time, fn ArgHandler, arg any) {
 // SetProbe arms fn to run at every multiple of every that the clock
 // reaches or crosses, starting at the first multiple after the current
 // time. The probe is not an event: it fires between events as time
-// advances (and on RunUntil deadline advancement), adds nothing to the
-// queue, and leaves Fired and the (time, seq) order untouched, so
-// results are bit-identical with and without a probe. fn must only
-// observe: calling Schedule/At from inside it panics. A nil fn disarms.
+// advances, adds nothing to the queue, and leaves Fired and the event
+// order untouched, so results are bit-identical with and without a
+// probe. fn must only observe: calling Schedule/At from inside it
+// panics. A nil fn disarms.
 func (e *Engine) SetProbe(every Time, fn func(at Time)) {
 	if fn == nil {
 		e.probe = nil
@@ -149,7 +168,7 @@ func (e *Engine) SetProbe(every Time, fn func(at Time)) {
 
 // runProbe fires the probe at every pending boundary up to and
 // including upTo. The clock reads each boundary instant during its
-// call, then the caller advances it to the event (or deadline) time.
+// call, then the caller advances it to the event time.
 func (e *Engine) runProbe(upTo Time) {
 	e.inProbe = true
 	for e.probeAt <= upTo {
@@ -160,8 +179,8 @@ func (e *Engine) runProbe(upTo Time) {
 	e.inProbe = false
 }
 
-// enqueue stamps the sequence number and routes the event to the fast
-// lane (same-instant) or the heap (future).
+// enqueue routes the event to the fast lane (same-instant) or the
+// radix heap (future).
 func (e *Engine) enqueue(t Time, ev event) {
 	if e.inProbe {
 		panic("sim: scheduling from inside a probe")
@@ -169,14 +188,12 @@ func (e *Engine) enqueue(t Time, ev event) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling in the past: %v < now %v", t, e.now))
 	}
-	e.seq++
-	ev.seq = e.seq
 	ev.at = t
 	if t == e.now {
 		e.lanePush(ev)
 		return
 	}
-	e.heapPush(ev)
+	e.push(ev)
 }
 
 // Step executes the single earliest pending event and returns true, or
@@ -184,16 +201,15 @@ func (e *Engine) enqueue(t Time, ev event) {
 func (e *Engine) Step() bool {
 	var ev event
 	switch {
+	case e.mask&1 != 0:
+		// Bucket 0 is at the current instant and predates every lane
+		// event; drain it first.
+		ev = e.pop()
 	case e.laneLen > 0:
-		// Heap events at the current instant predate (smaller seq) every
-		// lane event; drain them first.
-		if len(e.heap) > 0 && e.heap[0].at == e.now {
-			ev = e.heapPop()
-		} else {
-			ev = e.lanePop()
-		}
-	case len(e.heap) > 0:
-		ev = e.heapPop()
+		ev = e.lanePop()
+	case e.mask != 0:
+		e.refill()
+		ev = e.pop()
 		if e.probe != nil && ev.at >= e.probeAt {
 			e.runProbe(ev.at)
 		}
@@ -216,31 +232,6 @@ func (e *Engine) Run() {
 	}
 }
 
-// RunUntil executes events with scheduled time <= deadline. The clock is
-// left at the deadline if it was reached, otherwise at the time of the
-// last event. It returns the number of events executed.
-func (e *Engine) RunUntil(deadline Time) uint64 {
-	start := e.fired
-	for e.nextAt(deadline) {
-		e.Step()
-	}
-	if e.now < deadline {
-		if e.probe != nil && deadline >= e.probeAt {
-			e.runProbe(deadline)
-		}
-		e.now = deadline
-	}
-	return e.fired - start
-}
-
-// nextAt reports whether a pending event fires at or before deadline.
-func (e *Engine) nextAt(deadline Time) bool {
-	if e.laneLen > 0 {
-		return e.now <= deadline
-	}
-	return len(e.heap) > 0 && e.heap[0].at <= deadline
-}
-
 // RunWhile executes events while cond() remains true and events remain.
 // cond is evaluated before each event. It returns true if the run stopped
 // because cond became false (as opposed to the queue draining).
@@ -253,76 +244,81 @@ func (e *Engine) RunWhile(cond func() bool) bool {
 	return true
 }
 
-// --- 4-ary min-heap over a flat slice --------------------------------
+// --- monotone radix heap ---------------------------------------------
 
-// before reports heap ordering by (time, seq).
-func (a *event) before(b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// push stores ev in a node (recycled if one is free) and appends it to
+// the bucket of its time.
+func (e *Engine) push(ev event) {
+	i := e.free
+	if i != 0 {
+		e.free = e.nodes[i].next
+	} else {
+		if len(e.nodes) == 0 {
+			e.nodes = append(e.nodes, node{}) // sentinel: index 0 is "none"
+		}
+		i = int32(len(e.nodes))
+		e.nodes = append(e.nodes, node{})
 	}
-	return a.seq < b.seq
+	e.nodes[i].event = ev
+	e.queued++
+	e.link(bits.Len64(uint64(ev.at^e.last)), i)
 }
 
-// heapPush inserts ev, sifting the hole up instead of swapping.
-func (e *Engine) heapPush(ev event) {
-	e.heap = append(e.heap, event{})
-	h := e.heap
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !ev.before(&h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
+// link appends node i to bucket k. A list ends at its tail; the tail's
+// next is never read.
+func (e *Engine) link(k int, i int32) {
+	if e.mask&(1<<k) == 0 {
+		e.mask |= 1 << k
+		e.first[k] = i
+	} else {
+		e.nodes[e.tail[k]].next = i
 	}
-	h[i] = ev
+	e.tail[k] = i
 }
 
-// heapPop removes and returns the minimum event. The vacated tail slot is
-// zeroed so the popped event's closure (and anything it captures) does
-// not linger in the slice's spare capacity.
-func (e *Engine) heapPop() event {
-	h := e.heap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{}
-	e.heap = h[:n]
-	if n > 0 {
-		e.siftDown(last)
+// pop unlinks the head of bucket 0, zeroes its node so the handler and
+// its argument are not pinned, and returns the node to the free list.
+func (e *Engine) pop() event {
+	i := e.first[0]
+	n := &e.nodes[i]
+	ev := n.event
+	n.event = event{}
+	if i == e.tail[0] {
+		e.mask &^= 1
+	} else {
+		e.first[0] = n.next
 	}
-	return top
+	n.next = e.free
+	e.free = i
+	e.queued--
+	return ev
 }
 
-// siftDown places ev starting from the root, moving smaller children up
-// into the hole.
-func (e *Engine) siftDown(ev event) {
-	h := e.heap
-	n := len(h)
-	i := 0
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
+// refill is called with bucket 0 empty and some bucket non-empty. It
+// makes the lowest non-empty bucket's minimum time the new last and
+// relinks that bucket's events, in order, into the buckets below it,
+// which are all empty. Buckets above it keep their meaning: their
+// events differ from the new last in the same bit as from the old.
+func (e *Engine) refill() {
+	k := bits.TrailingZeros64(e.mask)
+	head, end := e.first[k], e.tail[k]
+	m := e.nodes[head].at
+	for i := head; i != end; {
+		i = e.nodes[i].next
+		if at := e.nodes[i].at; at < m {
+			m = at
 		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if h[j].before(&h[m]) {
-				m = j
-			}
-		}
-		if !h[m].before(&ev) {
-			break
-		}
-		h[i] = h[m]
-		i = m
 	}
-	h[i] = ev
+	e.last = m
+	e.mask &^= 1 << k
+	for i := head; ; {
+		next := e.nodes[i].next
+		e.link(bits.Len64(uint64(e.nodes[i].at^m)), i)
+		if i == end {
+			return
+		}
+		i = next
+	}
 }
 
 // --- zero-delay fast lane (ring buffer) ------------------------------

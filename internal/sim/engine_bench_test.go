@@ -1,13 +1,31 @@
 package sim
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
-// BenchmarkHeapChurn exercises the 4-ary heap with a standing population
+// BenchmarkHeapChurn exercises the radix heap with a standing population
 // of future events: every fired event schedules a replacement at a
 // pseudo-random future offset, so each op is one pop + one push at depth.
+// The depth=N rows draw offsets from 1–1000 ps; the delay=1-30ns row
+// uses the simulator's own range (serialization, SerDes, crossbar and
+// bank delays) at the depth its runs reach.
 func BenchmarkHeapChurn(b *testing.B) {
-	for _, depth := range []int{16, 256, 4096} {
-		b.Run(benchName(depth), func(b *testing.B) {
+	type churn struct {
+		name   string
+		depth  int
+		offset func(r uint64) Time
+	}
+	ps := func(r uint64) Time { return Time(r%1000 + 1) }
+	ns := func(r uint64) Time { return Time(r%30+1) * Nanosecond }
+	var cases []churn
+	for _, depth := range []int{16, 64, 256, 4096} {
+		cases = append(cases, churn{"depth=" + strconv.Itoa(depth), depth, ps})
+	}
+	cases = append(cases, churn{"depth=64,delay=1-30ns", 64, ns})
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			eng := NewEngine()
 			rng := uint64(1)
@@ -16,7 +34,7 @@ func BenchmarkHeapChurn(b *testing.B) {
 				rng ^= rng << 13
 				rng ^= rng >> 7
 				rng ^= rng << 17
-				return Time(rng%1000 + 1)
+				return c.offset(rng)
 			}
 			n := 0
 			var fn func()
@@ -26,7 +44,7 @@ func BenchmarkHeapChurn(b *testing.B) {
 					eng.Schedule(next(), fn)
 				}
 			}
-			for i := 0; i < depth; i++ {
+			for i := 0; i < c.depth; i++ {
 				eng.Schedule(next(), fn)
 			}
 			b.ResetTimer()
@@ -35,19 +53,8 @@ func BenchmarkHeapChurn(b *testing.B) {
 	}
 }
 
-func benchName(depth int) string {
-	switch depth {
-	case 16:
-		return "depth=16"
-	case 256:
-		return "depth=256"
-	default:
-		return "depth=4096"
-	}
-}
-
 // BenchmarkFastLane measures the zero-delay path: each event schedules a
-// same-instant follow-on, which must bypass the heap entirely.
+// same-instant follow-on, which must bypass the radix heap entirely.
 func BenchmarkFastLane(b *testing.B) {
 	b.ReportAllocs()
 	eng := NewEngine()
@@ -90,7 +97,7 @@ func BenchmarkArgHandler(b *testing.B) {
 
 // BenchmarkMixedLoad approximates the simulator's real profile: a bursty
 // mix of zero-delay handoffs (router/link kicks) and short future delays
-// (serialization, bank access), with a modest standing heap.
+// (serialization, bank access), with a modest standing queue.
 func BenchmarkMixedLoad(b *testing.B) {
 	b.ReportAllocs()
 	eng := NewEngine()

@@ -52,25 +52,6 @@ func TestEngineNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	fired := []Time{}
-	for _, d := range []Time{5, 15, 25} {
-		d := d
-		e.Schedule(d, func() { fired = append(fired, d) })
-	}
-	n := e.RunUntil(15)
-	if n != 2 || len(fired) != 2 {
-		t.Fatalf("fired %d events (%v), want 2", n, fired)
-	}
-	if e.Now() != 15 {
-		t.Fatalf("clock = %v, want 15", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-}
-
 func TestEngineRunWhile(t *testing.T) {
 	e := NewEngine()
 	count := 0

@@ -60,28 +60,6 @@ func TestProbeDoesNotPerturb(t *testing.T) {
 	}
 }
 
-// TestProbeRunUntil: boundaries between the last event and the deadline
-// still fire when RunUntil advances the clock to the deadline.
-func TestProbeRunUntil(t *testing.T) {
-	eng := NewEngine()
-	var at []Time
-	eng.SetProbe(10, func(now Time) { at = append(at, now) })
-	eng.At(12, func() {})
-	eng.RunUntil(35)
-	want := []Time{10, 20, 30}
-	if len(at) != len(want) {
-		t.Fatalf("probe times %v, want %v", at, want)
-	}
-	for i := range want {
-		if at[i] != want[i] {
-			t.Fatalf("probe times %v, want %v", at, want)
-		}
-	}
-	if eng.Now() != 35 {
-		t.Fatalf("clock %v, want 35", eng.Now())
-	}
-}
-
 // TestProbeScheduleRejected: probes are read-only observers; scheduling
 // from inside one must panic rather than silently perturb event order.
 func TestProbeScheduleRejected(t *testing.T) {

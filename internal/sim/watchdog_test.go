@@ -32,7 +32,7 @@ func TestWatchdogProgressResetsStale(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		eng.At(Time(i)*3*Microsecond/2, func() { done++ })
 	}
-	eng.RunUntil(8 * Microsecond)
+	runTo(eng, 8*Microsecond)
 	if w.Tripped() {
 		t.Fatal("watchdog tripped despite intermittent progress")
 	}
@@ -49,10 +49,18 @@ func TestWatchdogIdleNeverTrips(t *testing.T) {
 	eng := NewEngine()
 	w := NewWatchdog(eng, Microsecond, 2, func() uint64 { return 0 }, func() bool { return false })
 	w.Arm()
-	eng.RunUntil(20 * Microsecond)
+	runTo(eng, 20*Microsecond)
 	if w.Tripped() {
 		t.Fatal("watchdog tripped on an idle network")
 	}
+}
+
+// runTo runs eng until a marker event scheduled now for time t fires:
+// every event before t, and those at t scheduled before the marker.
+func runTo(eng *Engine, t Time) {
+	reached := false
+	eng.At(t, func() { reached = true })
+	eng.RunWhile(func() bool { return !reached })
 }
 
 func TestWatchdogBadParamsPanic(t *testing.T) {
